@@ -2,6 +2,9 @@
 attractor approximation, finite-dimensional truncation, and pullback random
 attractors driven by Ornstein-Uhlenbeck noise."""
 
+# defined before the submodule imports, which read it
+__version__ = "0.1.0"
+
 from .errors import (BhLatticeError, ConfigError, DissipativityViolation,
                      HorizonTooShort, NoConvergence, NonFinite, NotStabilized,
                      SpaceMismatch, StepTooLarge)
@@ -29,5 +32,3 @@ from .experiments import (ExperimentConfig, GridConfig, ReferenceConfig,
                           run_bounds, run_dim_convergence,
                           run_eps_convergence, run_error_order,
                           run_noise_convergence, verify, write_table)
-
-__version__ = "0.1.0"

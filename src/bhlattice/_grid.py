@@ -19,75 +19,68 @@ import numpy as np
 from .errors import NoConvergence, NonFinite
 
 
-def shift_up(U: np.ndarray) -> np.ndarray:
-    """Values of the neighbor i+1, zero beyond the right edge."""
-    out = np.zeros_like(U)
-    out[..., :-1] = U[..., 1:]
-    return out
-
-
-def shift_down(U: np.ndarray) -> np.ndarray:
-    """Values of the neighbor i-1, zero beyond the left edge."""
-    out = np.zeros_like(U)
-    out[..., 1:] = U[..., :-1]
-    return out
-
-
 def d_plus(U: np.ndarray) -> np.ndarray:
-    return shift_up(U) - U
+    """(D+ U)_i = U_{i+1} - U_i, zero beyond the right edge."""
+    out = -U
+    out[..., :-1] += U[..., 1:]
+    return out
 
 
 def d_minus(U: np.ndarray) -> np.ndarray:
-    return shift_down(U) - U
+    """(D- U)_i = U_{i-1} - U_i, zero beyond the left edge."""
+    out = -U
+    out[..., 1:] += U[..., :-1]
+    return out
 
 
-def laplacian(U: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "window":
-        return -shift_down(U) + 2.0 * U - shift_up(U)
+def _kernel(p, e: float, sz: float, U: np.ndarray, f_grid: np.ndarray,
+            mode: str) -> np.ndarray:
+    """Field at noise factor e = exp(sigma*z) and shift sz = sigma*z: the
+    diagonal terms as one Horner cubic in U, then the neighbour couplings.
+    At e = 1, sz = 0 it is the deterministic field, bit for bit."""
+    if mode not in ("window", "truncated"):
+        raise ValueError(f"unknown mode {mode!r}")
+    nu = -p.nu if p.laplacian_sign == "continuum" else p.nu
+    ae = p.alpha * e
+    c0 = 2.0 * nu - p.beta * p.gamma - p.lam + sz
+    c1 = ae + p.beta * (1.0 + p.gamma) * e
+    c2 = -p.beta * e * e
+    U = np.ascontiguousarray(U)
+    # Horner form U*(c0 + U*(c1 + c2*U)), evaluated in place
+    out = c2 * U
+    out += c1
+    out *= U
+    out += c0
+    out *= U
+    out += f_grid / e
+    # neighbour couplings on the flat rows (contiguous, unlike 2-D slices),
+    # with the products across a row boundary zeroed
+    n = U.shape[-1]
+    u, o = U.reshape(-1), out.reshape(-1)
+    left = (nu + ae * u[1:]) * u[:-1]
+    right = nu * u[1:]
+    if U.ndim > 1:
+        left[n - 1::n] = 0.0
+        right[n - 1::n] = 0.0
+    o[1:] -= left
+    o[:-1] -= right
     if mode == "truncated":
-        return d_plus(d_minus(U))
-    raise ValueError(f"unknown mode {mode!r}")
+        # the Dirichlet corner row of d_plus(d_minus) has diagonal 1, not 2
+        out[..., -1] -= nu * U[..., -1]
+    return out
 
 
 def field(p, U: np.ndarray, f_grid: np.ndarray, mode: str) -> np.ndarray:
-    """Burgers-Huxley vector field on the grid.
-
-    The reaction cubic u(1-u)(u-gamma) is evaluated in expanded form with
-    the same term grouping as the transformed random field, so the latter
-    reduces to this function exactly (bit for bit) at noise intensity zero.
-    """
-    lap = laplacian(U, mode)
-    if p.laplacian_sign == "continuum":
-        lap = -lap
-    return (
-        p.nu * lap
-        - p.alpha * U * d_minus(U)
-        - p.beta * U**3
-        + p.beta * (1.0 + p.gamma) * U**2
-        - p.beta * p.gamma * U
-        - p.lam * U
-        + f_grid
-    )
+    """Burgers-Huxley vector field on the grid."""
+    return _kernel(p, 1.0, 0.0, U, f_grid, mode)
 
 
 def random_field(p, sigma: float, z: float, U: np.ndarray, f_grid: np.ndarray,
                  mode: str) -> np.ndarray:
     """Transformed random vector field with noise intensity sigma at noise
     value z, exactly as displayed for the conjugated system."""
-    lap = laplacian(U, mode)
-    if p.laplacian_sign == "continuum":
-        lap = -lap
-    e = np.exp(sigma * z)
-    return (
-        p.nu * lap
-        - p.alpha * e * U * d_minus(U)
-        - p.beta * e * e * U**3
-        + p.beta * (1.0 + p.gamma) * e * U**2
-        - p.beta * p.gamma * U
-        - p.lam * U
-        + f_grid / e
-        + sigma * z * U
-    )
+    sz = sigma * z
+    return _kernel(p, float(np.exp(sz)), sz, U, f_grid, mode)
 
 
 def row_norms(U: np.ndarray) -> np.ndarray:
@@ -95,15 +88,16 @@ def row_norms(U: np.ndarray) -> np.ndarray:
 
 
 def picard_solve(field_fn, u_prev: np.ndarray, eps: float, tol: float,
-                 max_iter: int):
+                 max_iter: int, F_prev: np.ndarray | None = None):
     """Solve y = u_prev + eps*F(y) by iterating the contraction map.
 
-    Returns (y, residual, iterations); the residual is the exact defect
-    ||y - u_prev - eps*F(y)|| (max over batch rows), certified by one field
-    evaluation per iteration.
+    Returns (y, residual, iterations, F(y)); the residual is the exact
+    defect ||y - u_prev - eps*F(y)|| (max over batch rows), certified by one
+    field evaluation per iteration.  ``F_prev``, if given, must equal
+    field_fn(u_prev) and replaces the first evaluation.
     """
     y = u_prev
-    Fy = field_fn(y)
+    Fy = field_fn(y) if F_prev is None else F_prev
     for it in range(1, max_iter + 1):
         y_new = u_prev + eps * Fy
         Fy_new = field_fn(y_new)
@@ -112,7 +106,7 @@ def picard_solve(field_fn, u_prev: np.ndarray, eps: float, tol: float,
         if not np.isfinite(resid):
             raise NonFinite("fixed-point iterate overflowed")
         if resid <= tol:
-            return y, resid, it
+            return y, resid, it, Fy
     raise NoConvergence(max_iter, resid)
 
 

@@ -98,9 +98,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="config file (YAML or JSON)")
     parser.add_argument("--seed", type=int, help="override the master seed")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (accepted; runs are already "
-                             "vectorized)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
 

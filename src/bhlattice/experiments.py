@@ -13,12 +13,13 @@ import os
 
 import numpy as np
 
-from . import _grid
+from . import __version__, _grid
 from .attractor import (AttractorConfig, PointCloud, attractor_approx,
                         cloud_norm, embed_cloud, hausdorff_semi,
                         hausdorff_semi_pruned, hausdorff_sym, sample_ball,
                         tail_profile)
-from .errors import ConfigError, DissipativityViolation
+from .errors import (ConfigError, DissipativityViolation, NoConvergence,
+                     NonFinite)
 from .lattice import (LatticeWindow, Params, cutoff_xi, d_minus, d_plus,
                       derived_constants, l_bound, lambda_star, laplacian,
                       m_bound, tail_mass, vector_field)
@@ -29,8 +30,6 @@ from .stochastic import (NoiseConfig, absorbing_radius, ou_decay,
                          random_field, realization_seed)
 from .truncation import (d_minus_matrix, laplacian_matrix, restriction,
                          truncated_field, truncated_forcing)
-
-__version__ = "0.1.0"
 
 # attraction happens on the time scale 1/(lam - lam*); burn-in and gap are
 # fixed multiples of it, converted to step counts per eps
@@ -300,13 +299,16 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ResultTable:
         for k in range(noise.realizations):
             try:
                 cloud = pullback_sample(cfg.params, noise, k, dt, init)
-            except Exception:
+            except (NonFinite, NoConvergence):
                 excluded += 1
                 continue
             dists.append(hausdorff_sym(cloud, a_det))
             path = ou_path(realization_seed(noise.master_seed, k),
                            -max(noise.pullback_T, horizon), 0.0, noise.h_path)
             radii.append(absorbing_radius(cfg.params, sigma, path, 1e-6).value)
+        if not dists:
+            raise NonFinite(f"all {excluded} realizations at sigma={sigma} "
+                            "were excluded")
         dists = np.array(dists)
         rows["sigma"].append(sigma)
         rows["mean_dist"].append(float(dists.mean()))

@@ -11,7 +11,8 @@ import numpy as np
 
 from . import _grid
 from .errors import StepTooLarge
-from .lattice import LatticeWindow, Params, derived_constants, vector_field
+from .lattice import (DerivedConstants, LatticeWindow, Params,
+                      derived_constants, vector_field)
 
 DEFAULT_HALF_WIDTH = 128
 # tail mass silently lost to window clamping before a warning is emitted
@@ -77,8 +78,7 @@ def _to_grid_clamped(u: LatticeWindow, half_width: int) -> np.ndarray:
     return u.to_grid(half_width)
 
 
-def _check_step(p: Params, cfg: StepConfig, u_prev: LatticeWindow):
-    dc = derived_constants(p)
+def _check_step(dc: DerivedConstants, cfg: StepConfig, u_prev: LatticeWindow):
     if cfg.enforce_eps_star and cfg.eps > dc.eps_star:
         raise StepTooLarge(
             f"eps={cfg.eps} exceeds the contraction-safe cap {dc.eps_star}")
@@ -86,7 +86,6 @@ def _check_step(p: Params, cfg: StepConfig, u_prev: LatticeWindow):
         warnings.warn(
             "initial state lies outside the absorbing ball; the contraction "
             "guarantees do not apply", RuntimeWarning)
-    return dc
 
 
 def implicit_step_info(p: Params, cfg: StepConfig, u_prev: LatticeWindow,
@@ -96,14 +95,20 @@ def implicit_step_info(p: Params, cfg: StepConfig, u_prev: LatticeWindow,
     Returns (u_next, StepInfo).  The residual in StepInfo is the exact
     defect of the returned state.
     """
-    _check_step(p, cfg, u_prev)
+    return _step_info(p, derived_constants(p), cfg, u_prev, half_width)
+
+
+def _step_info(p: Params, dc: DerivedConstants, cfg: StepConfig,
+               u_prev: LatticeWindow, half_width: int):
+    """``implicit_step_info`` with the constants of p already computed."""
+    _check_step(dc, cfg, u_prev)
     grid = _to_grid_clamped(u_prev, half_width)
     f_grid = f_on_grid(p, half_width)
     if cfg.method == "newton":
         y, resid, iters = _grid.newton_solve(
             p, grid, cfg.eps, f_grid, "window", cfg.fp_tol, cfg.max_iter)
     else:
-        y, resid, iters = _grid.picard_solve(
+        y, resid, iters, _ = _grid.picard_solve(
             lambda U: _grid.field(p, U, f_grid, "window"),
             grid, cfg.eps, cfg.fp_tol, cfg.max_iter)
     return LatticeWindow.from_grid(y, half_width), StepInfo(resid, iters)
@@ -119,10 +124,11 @@ def run_trajectory(p: Params, cfg: StepConfig, u0: LatticeWindow,
     """Iterate the implicit step; returns the full state sequence u_0..u_N."""
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
+    dc = derived_constants(p) if n_steps else None
     states = [u0]
     u = u0
     for _ in range(n_steps):
-        u = implicit_step(p, cfg, u, half_width)
+        u = _step_info(p, dc, cfg, u, half_width)[0]
         states.append(u)
     return Trajectory(tuple(states), cfg.eps, params_hash(p))
 
@@ -130,10 +136,12 @@ def run_trajectory(p: Params, cfg: StepConfig, u0: LatticeWindow,
 def advance_grid(p: Params, cfg: StepConfig, U: np.ndarray, n_steps: int,
                  mode: str, f_grid: np.ndarray) -> np.ndarray:
     """Batched implicit Euler advance of a (batch, dim) array of states."""
+    # each step starts from the last step's solution, whose F(y) is known
+    F = None
     for _ in range(n_steps):
-        U, _, _ = _grid.picard_solve(
+        U, _, _, F = _grid.picard_solve(
             lambda Y: _grid.field(p, Y, f_grid, mode),
-            U, cfg.eps, cfg.fp_tol, cfg.max_iter)
+            U, cfg.eps, cfg.fp_tol, cfg.max_iter, F)
     return U
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -62,11 +63,30 @@ class OUPath:
         return self.t_max - self.h_path * (n - 1 - np.arange(n))
 
     def at(self, t: float) -> float:
-        """Linear interpolation between grid nodes."""
+        """Linear interpolation between grid nodes.
+
+        Computes np.interp(t, self.grid, self.z) without building the grid:
+        node k lies at t_max - h_path*(last - k), and the interval and the
+        arithmetic are those np.interp uses.
+        """
         slack = 1e-9 * max(1.0, abs(self.t_min))
         if t < self.t_min - slack or t > self.t_max + slack:
             raise ValueError("time outside the path horizon")
-        return float(np.interp(t, self.grid, self.z))
+        z, h, last = self.z, self.h_path, self.z.size - 1
+        if t >= self.t_max:
+            return float(z[last])
+        # the rounded cell index can be one off from the node left of t
+        k = min(max(last - math.ceil((self.t_max - t) / h), 0), last - 1)
+        while k > 0 and t < self.t_max - h * (last - k):
+            k -= 1
+        while k < last - 1 and t >= self.t_max - h * (last - k - 1):
+            k += 1
+        x0 = self.t_max - h * (last - k)
+        z0 = float(z[k])
+        if t <= x0:  # on node k, or left of the first node
+            return z0
+        x1 = self.t_max - h * (last - k - 1)
+        return (float(z[k + 1]) - z0) / (x1 - x0) * (t - x0) + z0
 
 
 def ou_path(seed: int, t_min: float, t_max: float, h: float) -> OUPath:

@@ -79,7 +79,7 @@ def d_plus_m(x: TruncatedState) -> TruncatedState:
 
 
 def laplacian_m(x: TruncatedState) -> TruncatedState:
-    return TruncatedState(x.m, _grid.laplacian(x.values, "truncated"))
+    return TruncatedState(x.m, _grid.d_plus(_grid.d_minus(x.values)))
 
 
 def truncated_forcing(p: Params, m: int) -> np.ndarray:
@@ -107,7 +107,7 @@ def truncated_step_info(p: Params, cfg: StepConfig, x_prev: TruncatedState):
             p, x_prev.values, cfg.eps, f_m, "truncated", cfg.fp_tol,
             cfg.max_iter)
     else:
-        y, resid, iters = _grid.picard_solve(
+        y, resid, iters, _ = _grid.picard_solve(
             lambda U: _grid.field(p, U, f_m, "truncated"),
             x_prev.values, cfg.eps, cfg.fp_tol, cfg.max_iter)
     return TruncatedState(x_prev.m, y), StepInfo(resid, iters)

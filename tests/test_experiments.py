@@ -8,9 +8,11 @@ from bhlattice import (
     ConfigError,
     GridConfig,
     LatticeWindow,
+    NonFinite,
     ResultTable,
     default_config,
     default_params,
+    run_noise_convergence,
     verify,
     write_table,
 )
@@ -161,6 +163,19 @@ class TestCli:
                                    "grids": {"eps_list": [0.001]}}))
         rc = main(["--config", str(cfg), "--out", str(tmp_path),
                    "converge-eps"])
+        assert rc == 3
+
+    def test_all_realizations_excluded_exits_3(self, tmp_path):
+        doc = {"grids": {"sigma_list": [40.0]},
+               "noise": {"realizations": 2, "pullback_T": 2.0}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        # every pullback overflows, so no realization is left to average
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFinite, match="sigma=40.0"):
+                run_noise_convergence(load_config(str(cfg_path)))
+            rc = main(["--config", str(cfg_path), "--out", str(tmp_path),
+                       "converge-noise"])
         assert rc == 3
 
     def test_seed_override(self, tmp_path):

@@ -19,6 +19,7 @@ from bhlattice import (
     reference_flow,
     run_trajectory,
 )
+from bhlattice import stepping
 
 
 @pytest.fixture
@@ -144,6 +145,29 @@ class TestTrajectory:
         traj = run_trajectory(params, cfg, u0, 20, 16)
         again = run_trajectory(params, cfg, traj.states[5], 15, 16)
         assert again.states == traj.states[5:]
+
+    def test_constants_computed_once_per_trajectory(self, params, monkeypatch):
+        calls = []
+        real = stepping.derived_constants
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(stepping, "derived_constants", counting)
+        cfg = StepConfig(eps=0.01)
+        u0 = LatticeWindow.basis(0, 0.5)
+        counts = []
+        for n in (3, 30):
+            calls.clear()
+            traj = run_trajectory(params, cfg, u0, n, 16)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 1
+        # the same states, bit for bit, as stepping one implicit step at a time
+        u = u0
+        for state in traj.states[1:]:
+            u = implicit_step(params, cfg, u, 16)
+            assert u == state
 
 
 class TestReferenceFlow:

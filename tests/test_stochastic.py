@@ -83,6 +83,20 @@ class TestOUPath:
         with pytest.raises(ValueError):
             path.at(0.5)
 
+    def test_interpolation_matches_interp_on_grid(self):
+        path = ou_path(3, -30.0, 0.0, 0.01)
+        grid = path.grid
+        for t, z in zip(grid, path.z):
+            assert path.at(float(t)) == z
+        rng = np.random.default_rng(12)
+        ts = np.concatenate([0.5 * (grid[1:] + grid[:-1]),
+                             [path.t_min, path.t_max],
+                             rng.uniform(path.t_min, path.t_max, 1000)])
+        got = np.array([path.at(float(t)) for t in ts])
+        assert np.max(np.abs(got - np.interp(ts, grid, path.z))) <= 1e-15
+        with pytest.raises(ValueError):
+            path.at(path.t_min - 1e-3)
+
     def test_json_round_trip(self):
         path = ou_path(5, -3.0, 0.0, 0.1)
         back = ou_path_from_json(ou_path_to_json(path))
