@@ -25,8 +25,8 @@ from .attractor import (AttractorConfig, PointCloud, attractor_approx,
                         hausdorff_sym, sample_ball, tail_profile)
 from .stochastic import (AbsorbingRadius, NoiseConfig, OUPath,
                          absorbing_radius, ergodic_average, ou_path,
-                         ou_path_from_json, ou_path_to_json, pullback_sample,
-                         random_field)
+                         ou_path_from_json, ou_path_to_json, pullback_batch,
+                         pullback_sample, random_field)
 from .experiments import (ExperimentConfig, GridConfig, ReferenceConfig,
                           ResultTable, default_config, default_params,
                           run_bounds, run_dim_convergence,

@@ -33,13 +33,20 @@ def d_minus(U: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel(p, e: float, sz: float, U: np.ndarray, f_grid: np.ndarray,
+def _kernel(p, e, sz, U: np.ndarray, f_grid: np.ndarray,
             mode: str) -> np.ndarray:
     """Field at noise factor e = exp(sigma*z) and shift sz = sigma*z: the
     diagonal terms as one Horner cubic in U, then the neighbour couplings.
-    At e = 1, sz = 0 it is the deterministic field, bit for bit."""
+    At e = 1, sz = 0 it is the deterministic field, bit for bit.
+
+    e and sz are scalars, or arrays that broadcast against the leading
+    (batch) axes of U, one noise value per state row."""
     if mode not in ("window", "truncated"):
         raise ValueError(f"unknown mode {mode!r}")
+    rowwise = isinstance(e, np.ndarray)
+    if rowwise:
+        # one value per row: broadcast along the state axis too
+        e, sz = e[..., None], sz[..., None]
     nu = -p.nu if p.laplacian_sign == "continuum" else p.nu
     ae = p.alpha * e
     c0 = 2.0 * nu - p.beta * p.gamma - p.lam + sz
@@ -57,7 +64,11 @@ def _kernel(p, e: float, sz: float, U: np.ndarray, f_grid: np.ndarray,
     # with the products across a row boundary zeroed
     n = U.shape[-1]
     u, o = U.reshape(-1), out.reshape(-1)
-    left = (nu + ae * u[1:]) * u[:-1]
+    # left = (nu + ae*U_i)*U_{i-1}, in place; a per-row ae multiplies U
+    # before it is flattened
+    left = (ae * U).reshape(-1)[1:] if rowwise else ae * u[1:]
+    left += nu
+    left *= u[:-1]
     right = nu * u[1:]
     if U.ndim > 1:
         left[n - 1::n] = 0.0
@@ -75,12 +86,18 @@ def field(p, U: np.ndarray, f_grid: np.ndarray, mode: str) -> np.ndarray:
     return _kernel(p, 1.0, 0.0, U, f_grid, mode)
 
 
-def random_field(p, sigma: float, z: float, U: np.ndarray, f_grid: np.ndarray,
+def random_field(p, sigma, z, U: np.ndarray, f_grid: np.ndarray,
                  mode: str) -> np.ndarray:
     """Transformed random vector field with noise intensity sigma at noise
-    value z, exactly as displayed for the conjugated system."""
+    value z, exactly as displayed for the conjugated system.
+
+    sigma and z are scalars, or arrays whose product broadcasts against the
+    leading axes of U: for a (S, R, P, n) stack of clouds, sigma of shape
+    (S, 1, 1) and z of shape (R, 1) give each (S, R) cloud its own value."""
     sz = sigma * z
-    return _kernel(p, float(np.exp(sz)), sz, U, f_grid, mode)
+    e = np.exp(sz)
+    return _kernel(p, e if isinstance(e, np.ndarray) else float(e), sz, U,
+                   f_grid, mode)
 
 
 def row_norms(U: np.ndarray) -> np.ndarray:
@@ -149,7 +166,11 @@ def newton_solve(p, u_prev: np.ndarray, eps: float, f_grid: np.ndarray,
 
 
 def rk4(field_fn, U: np.ndarray, t0: float, dt: float, n_steps: int) -> np.ndarray:
-    """Classical fourth-order one-step method for dU/dt = field_fn(t, U)."""
+    """Classical fourth-order one-step method for dU/dt = field_fn(t, U).
+
+    Overflow is not checked here: a batch may hold rows that blow up next
+    to rows that do not, so each caller tests the end state it needs
+    (``require_finite`` for a single run)."""
     t = t0
     for _ in range(n_steps):
         k1 = field_fn(t, U)
@@ -158,6 +179,11 @@ def rk4(field_fn, U: np.ndarray, t0: float, dt: float, n_steps: int) -> np.ndarr
         k4 = field_fn(t + dt, U + dt * k3)
         U = U + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += dt
+    return U
+
+
+def require_finite(U: np.ndarray) -> np.ndarray:
+    """U itself, or NonFinite if an integration left any entry non-finite."""
     if not np.all(np.isfinite(U)):
         raise NonFinite("integrator state overflowed; reduce the step size")
     return U

@@ -83,7 +83,8 @@ def sample_ball(radius: float, space: str, half_width: int, count: int,
 
 
 def hausdorff_semi(A: PointCloud, B: PointCloud) -> float:
-    """d(A, B) = max over a of min over b of ||a - b||; exact double loop."""
+    """d(A, B) = max over a of min over b of ||a - b||, from the full
+    matrix of pairwise distances (scipy's cdist)."""
     _check_same_space(A, B)
     return _semi_arrays(A.points, B.points)
 

@@ -18,16 +18,15 @@ from .attractor import (AttractorConfig, PointCloud, attractor_approx,
                         cloud_norm, embed_cloud, hausdorff_semi,
                         hausdorff_semi_pruned, hausdorff_sym, sample_ball,
                         tail_profile)
-from .errors import (ConfigError, DissipativityViolation, NoConvergence,
-                     NonFinite)
+from .errors import ConfigError, DissipativityViolation, NonFinite
 from .lattice import (LatticeWindow, Params, cutoff_xi, d_minus, d_plus,
                       derived_constants, l_bound, lambda_star, laplacian,
                       m_bound, tail_mass, vector_field)
 from .stepping import (StepConfig, advance_grid, f_on_grid, global_error,
                        implicit_step_info, local_error, params_hash)
 from .stochastic import (NoiseConfig, absorbing_radius, ou_decay,
-                         ou_innovation_std, ou_path, pullback_sample,
-                         random_field, realization_seed)
+                         ou_innovation_std, ou_path, pullback_batch,
+                         random_field)
 from .truncation import (d_minus_matrix, laplacian_matrix, restriction,
                          truncated_field, truncated_forcing)
 
@@ -225,8 +224,9 @@ def flow_attractor(p: Params, dt: float, base: AttractorConfig,
     acfg = attractor_config_for_eps(base, dt, p.lam - dc.lambda_star)
 
     def advance(U, n):
-        return _grid.rk4(lambda _t, Y: _grid.field(p, Y, f_grid, mode),
-                         U, 0.0, dt, n)
+        return _grid.require_finite(
+            _grid.rk4(lambda _t, Y: _grid.field(p, Y, f_grid, mode),
+                      U, 0.0, dt, n))
 
     space = "truncated" if mode == "truncated" else "window"
     return attractor_approx(advance, acfg, dc.r_star, space, half_width,
@@ -291,20 +291,26 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ResultTable:
     init = sample_ball(dc.r_star, "truncated", m, cfg.pullback_points,
                        cfg.master_seed)
     horizon = -math.log(1e-6) / gap + 1.0
+    sigmas = list(cfg.grids.sigma_list)
+    # one stack for every (sigma, realization); each path also gives the
+    # realization's absorbing radius at every sigma
+    batch = pullback_batch(cfg.params, cfg.noise, sigmas,
+                           range(cfg.noise.realizations), dt, init,
+                           path_horizon=horizon)
     rows = {"sigma": [], "mean_dist": [], "max_dist": [], "stderr": [],
             "excluded": [], "mean_radius": []}
-    for sigma in cfg.grids.sigma_list:
-        noise = dataclasses.replace(cfg.noise, sigma=sigma)
+    excluded_realizations = []
+    for i, sigma in enumerate(sigmas):
         dists, radii, excluded = [], [], 0
-        for k in range(noise.realizations):
-            try:
-                cloud = pullback_sample(cfg.params, noise, k, dt, init)
-            except (NonFinite, NoConvergence):
+        for k, path in enumerate(batch.paths):
+            if not batch.finite[i, k]:
                 excluded += 1
+                excluded_realizations.append({
+                    "sigma": sigma, "realization": k,
+                    "reason": "non-finite end state"})
                 continue
+            cloud = PointCloud("truncated", m, batch.points[i, k])
             dists.append(hausdorff_sym(cloud, a_det))
-            path = ou_path(realization_seed(noise.master_seed, k),
-                           -max(noise.pullback_T, horizon), 0.0, noise.h_path)
             radii.append(absorbing_radius(cfg.params, sigma, path, 1e-6).value)
         if not dists:
             raise NonFinite(f"all {excluded} realizations at sigma={sigma} "
@@ -318,8 +324,20 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ResultTable:
         rows["excluded"].append(excluded)
         rows["mean_radius"].append(float(np.mean(radii)))
     prov = _provenance(cfg)
-    prov.update({"m": m, "dt": dt, "pullback_T": cfg.noise.pullback_T})
+    prov.update({"m": m, "dt": dt, "pullback_T": cfg.noise.pullback_T,
+                 "excluded_realizations": excluded_realizations,
+                 "sigma_slope": _log_slope(rows["sigma"], rows["mean_dist"])})
     return ResultTable("noise_convergence", rows, prov)
+
+
+def _log_slope(x, y):
+    """Least-squares slope of log y against log x over the rows with
+    x > 0 and y > 0; None with fewer than two such rows."""
+    pairs = [(a, b) for a, b in zip(x, y) if a > 0 and b > 0]
+    if len(pairs) < 2:
+        return None
+    lx, ly = np.log(np.array(pairs)).T
+    return float(np.polyfit(lx, ly, 1)[0])
 
 
 def run_error_order(cfg: ExperimentConfig, T: float = 0.5,

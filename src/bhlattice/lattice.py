@@ -107,6 +107,17 @@ class LatticeWindow:
             grid[lo + half_width : hi + half_width + 1] = self.values
         return grid
 
+    def clip_to_grid(self, half_width: int) -> np.ndarray:
+        """Dense array over [-half_width, half_width]; components outside
+        it are dropped."""
+        grid = np.zeros(2 * half_width + 1)
+        lo = max(self.offset, -half_width)
+        hi = min(self.offset + self.values.size - 1, half_width)
+        if lo <= hi:
+            grid[lo + half_width : hi + half_width + 1] = \
+                self.values[lo - self.offset : hi - self.offset + 1]
+        return grid
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeWindow):
             return NotImplemented
@@ -115,7 +126,8 @@ class LatticeWindow:
         )
 
     def __hash__(self):
-        return hash((self.offset, self.values.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ already treats as equal
+        return hash((self.offset, (self.values + 0.0).tobytes()))
 
     # -- arithmetic --------------------------------------------------------
 

@@ -66,9 +66,7 @@ def f_on_grid(p: Params, half_width: int) -> np.ndarray:
 def _to_grid_clamped(u: LatticeWindow, half_width: int) -> np.ndarray:
     lo, hi = u.support
     if u.values.size and (lo < -half_width or hi > half_width):
-        grid = np.zeros(2 * half_width + 1)
-        for i in range(max(lo, -half_width), min(hi, half_width) + 1):
-            grid[i + half_width] = u[i]
+        grid = u.clip_to_grid(half_width)
         clipped = u.norm() ** 2 - float(grid @ grid)
         if clipped > CLIP_MASS_WARN:
             warnings.warn(
@@ -160,6 +158,7 @@ def reference_flow(p: Params, u0: LatticeWindow, t: float, dt_ref: float,
     f_grid = f_on_grid(p, half_width)
     out = _grid.rk4(lambda _t, U: _grid.field(p, U, f_grid, "window"),
                     grid, 0.0, dt_ref, n)
+    _grid.require_finite(out)
     return LatticeWindow.from_grid(out, half_width)
 
 

@@ -63,30 +63,66 @@ class OUPath:
         return self.t_max - self.h_path * (n - 1 - np.arange(n))
 
     def at(self, t: float) -> float:
-        """Linear interpolation between grid nodes.
+        """Linear interpolation between grid nodes, as np.interp(t,
+        self.grid, self.z)."""
+        return float(_interp(self, t))
 
-        Computes np.interp(t, self.grid, self.z) without building the grid:
-        node k lies at t_max - h_path*(last - k), and the interval and the
-        arithmetic are those np.interp uses.
-        """
-        slack = 1e-9 * max(1.0, abs(self.t_min))
-        if t < self.t_min - slack or t > self.t_max + slack:
-            raise ValueError("time outside the path horizon")
-        z, h, last = self.z, self.h_path, self.z.size - 1
-        if t >= self.t_max:
-            return float(z[last])
-        # the rounded cell index can be one off from the node left of t
-        k = min(max(last - math.ceil((self.t_max - t) / h), 0), last - 1)
-        while k > 0 and t < self.t_max - h * (last - k):
-            k -= 1
-        while k < last - 1 and t >= self.t_max - h * (last - k - 1):
-            k += 1
-        x0 = self.t_max - h * (last - k)
-        z0 = float(z[k])
-        if t <= x0:  # on node k, or left of the first node
-            return z0
-        x1 = self.t_max - h * (last - k - 1)
-        return (float(z[k + 1]) - z0) / (x1 - x0) * (t - x0) + z0
+
+def _interp(path, t: float):
+    """np.interp(t, grid, z) along the first axis of the path's values z,
+    without building the grid.
+
+    Node k lies at t_max - h_path*(last - k); the interval and the
+    arithmetic are those np.interp uses.  ``path`` is an OUPath (z of shape
+    (nodes,)) or an OUPathStack (z of shape (nodes, R)); for a stack, one
+    cell lookup serves all R paths and each gets the value it would get
+    alone.
+    """
+    slack = 1e-9 * max(1.0, abs(path.t_min))
+    if t < path.t_min - slack or t > path.t_max + slack:
+        raise ValueError("time outside the path horizon")
+    z, h, t_max = path.z, path.h_path, path.t_max
+    last = z.shape[0] - 1
+    if t >= t_max:
+        return z[last]
+    # the rounded cell index can be one off from the node left of t
+    k = min(max(last - math.ceil((t_max - t) / h), 0), last - 1)
+    while k > 0 and t < t_max - h * (last - k):
+        k -= 1
+    while k < last - 1 and t >= t_max - h * (last - k - 1):
+        k += 1
+    x0 = t_max - h * (last - k)
+    z0 = z[k]
+    if t <= x0:  # on node k, or left of the first node
+        return z0
+    x1 = t_max - h * (last - k - 1)
+    return (z[k + 1] - z0) / (x1 - x0) * (t - x0) + z0
+
+
+@dataclasses.dataclass(frozen=True)
+class OUPathStack:
+    """Paths on one common grid, interpolated together: z[:, r] holds path
+    r, and ``at`` returns every path's value with one cell lookup."""
+
+    t_min: float
+    t_max: float
+    h_path: float
+    z: np.ndarray
+
+    @classmethod
+    def of(cls, paths) -> "OUPathStack":
+        first = paths[0]
+        for path in paths:
+            if (path.t_min, path.t_max, path.h_path, path.z.size) != (
+                    first.t_min, first.t_max, first.h_path, first.z.size):
+                raise ValueError("stacked paths must share one grid")
+        z = np.stack([path.z for path in paths], axis=1)
+        z.setflags(write=False)
+        return cls(first.t_min, first.t_max, first.h_path, z)
+
+    def at(self, t: float) -> np.ndarray:
+        """Every path's OUPath.at(t), as an array."""
+        return _interp(self, t)
 
 
 def ou_path(seed: int, t_min: float, t_max: float, h: float) -> OUPath:
@@ -162,19 +198,39 @@ def random_field(p: Params, sigma: float, z_t: float,
     return LatticeWindow.from_grid(out, half)
 
 
-def pullback_sample(p: Params, noise: NoiseConfig, realization_index: int,
-                    dt: float, initial_cloud: PointCloud) -> PointCloud:
-    """Evolve a cloud from time -pullback_T to 0 along one noise realization.
+@dataclasses.dataclass(frozen=True)
+class PullbackBatch:
+    """Time-0 clouds of a pullback batch: points[i, j] is the cloud for
+    sigma i along realization j, and finite[i, j] says whether it stayed
+    finite.  paths[j] is realization j's OU path, shared by every sigma."""
 
-    The realization's OU path is generated from its derived seed; the
-    nonautonomous transformed system is integrated pathwise with the
-    classical fourth-order one-step method, sampling z by linear
-    interpolation.  The returned time-0 cloud samples the random attractor.
+    points: np.ndarray
+    finite: np.ndarray
+    paths: tuple
+
+
+def pullback_batch(p: Params, noise: NoiseConfig, sigmas, realizations,
+                   dt: float, initial_cloud: PointCloud,
+                   path_horizon: float = 0.0) -> PullbackBatch:
+    """Evolve a cloud from time -pullback_T to 0 for every noise intensity
+    in ``sigmas`` along every realization index in ``realizations``.
+
+    noise supplies h_path, pullback_T and master_seed; its own sigma and
+    realization count are not read.  Each realization's OU path is generated
+    once from its derived seed, over [-max(pullback_T, path_horizon), 0], so
+    the same path serves every sigma (and, with a long enough horizon, the
+    absorbing radius).  All len(sigmas)*len(realizations) copies of the
+    cloud are integrated as one stack with the classical fourth-order
+    one-step method, sampling z by linear interpolation; each copy's result
+    is the one it would get on its own, bit for bit.  Copies that overflow
+    are flagged in ``finite``, not raised.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    seed = realization_seed(noise.master_seed, realization_index)
-    path = ou_path(seed, -noise.pullback_T, 0.0, noise.h_path)
+    horizon = max(noise.pullback_T, path_horizon)
+    paths = tuple(ou_path(realization_seed(noise.master_seed, k), -horizon,
+                          0.0, noise.h_path) for k in realizations)
+    stack = OUPathStack.of(paths)
     n_steps = int(round(noise.pullback_T / dt))
     dt = noise.pullback_T / n_steps
     mode = initial_cloud.space
@@ -182,20 +238,39 @@ def pullback_sample(p: Params, noise: NoiseConfig, realization_index: int,
         f_grid = truncated_forcing(p, initial_cloud.half_width)
     else:
         f_grid = p.f.to_grid(initial_cloud.half_width)
-    sigma = noise.sigma
+    # (S, 1, 1) against z of shape (R, 1): one noise value per (S, R) cloud
+    sig = np.asarray(sigmas, dtype=float)[:, None, None]
 
     def rhs(t, U):
-        return _grid.random_field(p, sigma, path.at(t), U, f_grid, mode)
+        return _grid.random_field(p, sig, stack.at(t)[:, None], U, f_grid,
+                                  mode)
 
-    pts = _grid.rk4(rhs, initial_cloud.points, -noise.pullback_T, dt, n_steps)
+    U0 = np.broadcast_to(initial_cloud.points,
+                         (sig.shape[0], len(paths)) + initial_cloud.points.shape)
+    pts = _grid.rk4(rhs, U0.copy(), -noise.pullback_T, dt, n_steps)
+    return PullbackBatch(pts, np.isfinite(pts).all(axis=(-2, -1)), paths)
+
+
+def pullback_sample(p: Params, noise: NoiseConfig, realization_index: int,
+                    dt: float, initial_cloud: PointCloud) -> PointCloud:
+    """Evolve a cloud from time -pullback_T to 0 along one noise realization.
+
+    The one-sigma, one-realization case of ``pullback_batch``.  The
+    returned time-0 cloud samples the random attractor; an overflow raises
+    NonFinite.
+    """
+    batch = pullback_batch(p, noise, [noise.sigma], [realization_index], dt,
+                           initial_cloud)
+    pts = _grid.require_finite(batch.points[0, 0])
     meta = dict(initial_cloud.meta)
     meta.update({
-        "sigma": sigma,
-        "seed": int(seed.entropy),
+        "sigma": noise.sigma,
+        "seed": int(batch.paths[0].seed.entropy),
         "realization": realization_index,
         "pullback_T": noise.pullback_T,
     })
-    return PointCloud(mode, initial_cloud.half_width, pts, meta=meta)
+    return PointCloud(initial_cloud.space, initial_cloud.half_width, pts,
+                      meta=meta)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -40,7 +40,8 @@ class TruncatedState:
         return self.m == other.m and np.array_equal(self.values, other.values)
 
     def __hash__(self):
-        return hash((self.m, self.values.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ already treats as equal
+        return hash((self.m, (self.values + 0.0).tobytes()))
 
 
 # -- matrices (reference form, used by tests and the Newton mode) -----------
@@ -84,8 +85,7 @@ def laplacian_m(x: TruncatedState) -> TruncatedState:
 
 def truncated_forcing(p: Params, m: int) -> np.ndarray:
     """f^m: the forcing restricted to the sites |i| <= m (no renormalization)."""
-    idx = np.arange(-m, m + 1)
-    return np.array([p.f[int(i)] for i in idx])
+    return p.f.clip_to_grid(m)
 
 
 def truncated_field(p: Params, x: TruncatedState) -> TruncatedState:
@@ -136,5 +136,4 @@ def null_expansion(x: TruncatedState) -> LatticeWindow:
 
 def restriction(u: LatticeWindow, m: int) -> TruncatedState:
     """Drop every component with |i| > m."""
-    vals = np.array([u[i] for i in range(-m, m + 1)])
-    return TruncatedState(m, vals)
+    return TruncatedState(m, u.clip_to_grid(m))

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from bhlattice import (
+    AttractorConfig,
     ConfigError,
     GridConfig,
     LatticeWindow,
+    NoiseConfig,
     NonFinite,
     ResultTable,
     default_config,
@@ -116,6 +118,47 @@ class TestTables:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
             write_table(ResultTable("t", {"x": [1]}, {}), str(tmp_path), "xml")
+
+
+class TestNoiseStudy:
+    @staticmethod
+    def small_config(sigmas):
+        cfg = default_config(noise_m=4, pullback_points=4)
+        cfg.attractor = AttractorConfig(sample_count=8, seed=0)
+        cfg.grids = GridConfig(sigma_list=sigmas)
+        cfg.noise = NoiseConfig(h_path=0.01, pullback_T=2.0, realizations=4,
+                                master_seed=2024)
+        return cfg
+
+    def test_records_each_excluded_realization(self):
+        # at sigma = 5 realizations 0 and 3 of this seed overflow by t = 0;
+        # 1 and 2 do not, and no realization at a smaller sigma does
+        cfg = self.small_config((5.0, 0.2, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = run_noise_convergence(cfg)
+        assert table.column("excluded") == [2, 0, 0]
+        assert table.provenance["excluded_realizations"] == [
+            {"sigma": 5.0, "realization": k, "reason": "non-finite end state"}
+            for k in (0, 3)]
+        assert np.isfinite(table.column("mean_dist")).all()
+        json.dumps(table.provenance)
+
+    def test_sigma_slope_is_least_squares_over_positive_sigmas(self):
+        cfg = self.small_config((0.4, 0.2, 0.1, 0.0))
+        table = run_noise_convergence(cfg)
+        prov = table.provenance
+        assert prov["excluded_realizations"] == []
+        x = np.log(table.column("sigma")[:3])
+        y = np.log(table.column("mean_dist")[:3])
+        slope = np.sum((x - x.mean()) * (y - y.mean())) / np.sum((x - x.mean()) ** 2)
+        assert prov["sigma_slope"] == pytest.approx(slope, rel=1e-12)
+        # provenance, not columns: the table keeps its six columns
+        assert list(table.columns) == ["sigma", "mean_dist", "max_dist",
+                                       "stderr", "excluded", "mean_radius"]
+
+    def test_sigma_slope_needs_two_positive_sigmas(self):
+        table = run_noise_convergence(self.small_config((0.2, 0.0)))
+        assert table.provenance["sigma_slope"] is None
 
 
 class TestVerify:

@@ -3,12 +3,14 @@ that do not use it: the dense truncation matrices, the ``LatticeWindow``
 operators, and central differences of the field for its Jacobian."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bhlattice import (
     LatticeWindow,
+    NonFinite,
     Params,
     StepConfig,
     d_minus,
@@ -191,3 +193,52 @@ def test_picard_solve_returns_field_and_skips_first_evaluation():
     assert len(calls) == iters2
     assert y2.tobytes() == _grid.picard_solve(
         counted, y, 0.01, 1e-10, 100)[0].tobytes()
+
+
+@st.composite
+def noise_stacks(draw):
+    """(U, sigmas, zs, f): a (S, R, P, n) stack of clouds in C or Fortran
+    order, S noise intensities, R noise values and a forcing."""
+    m = draw(st.integers(1, 6))
+    n = 2 * m + 1
+    S, R, P = (draw(st.integers(1, 3)) for _ in range(3))
+    U = draw(hnp.arrays(np.float64, (S, R, P, n),
+                        elements=st.floats(-3.0, 3.0)))
+    if draw(st.booleans()):
+        U = np.asfortranarray(U)
+    sigmas = draw(hnp.arrays(np.float64, S,
+                             elements=st.sampled_from([0.0, 0.05, 0.1, 0.4, 1.3])))
+    zs = draw(hnp.arrays(np.float64, R, elements=st.floats(-3.0, 3.0)))
+    f = draw(hnp.arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
+    return U, sigmas, zs, f
+
+
+@PROPERTY
+@given(p=params_st, stack=noise_stacks(),
+       mode=st.sampled_from(["window", "truncated"]))
+def test_random_field_with_array_noise_equals_per_row_calls(p, stack, mode):
+    U, sigmas, zs, f = stack
+    got = _grid.random_field(p, sigmas[:, None, None], zs[:, None], U, f, mode)
+    assert got.shape == U.shape
+    for i, sigma in enumerate(sigmas):
+        for j, z in enumerate(zs):
+            one = _grid.random_field(p, float(sigma), float(z), U[i, j], f,
+                                     mode)
+            assert got[i, j].tobytes() == one.tobytes()
+
+
+def test_rk4_leaves_overflow_to_require_finite():
+    p = default_params()
+    f = p.f.to_grid(2)
+    U = np.array([[0.1, 0.2, 0.0, -0.1, 0.3], [1e6, -1e6, 1e6, -1e6, 1e6]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _grid.rk4(lambda _t, Y: _grid.field(p, Y, f, "window"),
+                        U, 0.0, 0.01, 20)
+    assert np.all(np.isfinite(out[0])) and not np.all(np.isfinite(out[1]))
+    # a row that overflows leaves the other rows as they are alone
+    alone = _grid.rk4(lambda _t, Y: _grid.field(p, Y, f, "window"),
+                      U[:1], 0.0, 0.01, 20)
+    assert out[0].tobytes() == alone[0].tobytes()
+    assert _grid.require_finite(alone) is alone
+    with pytest.raises(NonFinite, match="integrator state overflowed"):
+        _grid.require_finite(out)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhlattice import (
     DissipativityViolation,
@@ -242,3 +244,45 @@ class TestMonotonicity:
         for attr in ("nu", "alpha"):
             hi = params.replace(**{attr: getattr(params, attr) * 1.7})
             assert lambda_star(hi) >= lambda_star(params) - 1e-12
+
+
+# values with zeros of both signs drawn on purpose
+signed_values = st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-3.0, 3.0),
+                         max_size=8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(offset=st.integers(-5, 5), values=signed_values,
+       flips=st.lists(st.booleans(), min_size=8, max_size=8))
+def test_equal_windows_hash_equal(offset, values, flips):
+    vals = np.array(values, dtype=float)
+    # the same sequence with the sign of some of its zeros flipped
+    flip = np.array(flips[:vals.size], dtype=bool) & (vals == 0.0)
+    other = np.where(flip, -vals, vals)
+    a, b = LatticeWindow(offset, vals), LatticeWindow(offset, other)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_signed_zero_windows_share_a_hash():
+    a = LatticeWindow(0, [1.0, 0.0, 2.0])
+    b = LatticeWindow(0, [1.0, -0.0, 2.0])
+    assert a == b and hash(a) == hash(b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(offset=st.integers(-14, 14),
+       values=st.lists(st.floats(-3.0, 3.0), max_size=25),
+       half_width=st.integers(0, 8))
+def test_clip_to_grid_is_componentwise(offset, values, half_width):
+    u = LatticeWindow(offset, np.array(values, dtype=float))
+    expected = [u[i] for i in range(-half_width, half_width + 1)]
+    assert u.clip_to_grid(half_width).tolist() == expected
+
+
+def test_clip_to_grid_of_window_outside_on_both_sides():
+    u = LatticeWindow(-5, np.arange(1.0, 12.0))
+    assert u.clip_to_grid(2).tolist() == [4.0, 5.0, 6.0, 7.0, 8.0]
+    assert LatticeWindow(7, [1.0]).clip_to_grid(3).tolist() == [0.0] * 7
+    assert LatticeWindow.zero().clip_to_grid(1).tolist() == [0.0] * 3

@@ -7,6 +7,7 @@ import pytest
 from bhlattice import (
     LatticeWindow,
     NoConvergence,
+    NonFinite,
     Params,
     StepConfig,
     StepTooLarge,
@@ -192,6 +193,36 @@ class TestReferenceFlow:
         e2 = np.linalg.norm(outs[1] - outs[2])
         order = math.log2(e1 / e2)
         assert 3.5 <= order <= 4.5
+
+
+    def test_overflow_raises_nonfinite(self, params):
+        u0 = LatticeWindow.basis(0, 1e3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFinite, match="integrator state overflowed"):
+                reference_flow(params, u0, 1.0, 0.1, 4)
+
+
+class TestClampedGrid:
+    @pytest.mark.parametrize("offset, size", [(-7, 15), (-7, 4), (5, 3),
+                                              (-2, 3), (9, 2), (-12, 3)])
+    def test_equals_componentwise_definition(self, offset, size):
+        u = LatticeWindow(offset, np.arange(1.0, size + 1.0))
+        K = 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = stepping._to_grid_clamped(u, K)
+        assert got.tolist() == [u[i] for i in range(-K, K + 1)]
+
+    def test_warns_only_above_the_clipped_mass_threshold(self):
+        # a window sticking out on both sides, by mass 8 and by mass 2e-16
+        with pytest.warns(RuntimeWarning, match="clipped tail mass 8"):
+            stepping._to_grid_clamped(LatticeWindow(-2, [2.0, 1.0, 1.0, 1.0, 2.0]), 1)
+        tiny = LatticeWindow(-3, [1e-8, 1.0, 1.0, 1.0, 1.0, 1.0, 1e-8])
+        assert stepping.CLIP_MASS_WARN == 1e-14
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = stepping._to_grid_clamped(tiny, 2)
+        assert got.tolist() == [1.0] * 5
 
 
 class TestDiscretizationError:

@@ -7,18 +7,21 @@ from bhlattice import (
     HorizonTooShort,
     LatticeWindow,
     NoiseConfig,
+    NonFinite,
     Params,
     absorbing_radius,
     ergodic_average,
     ou_path,
     ou_path_from_json,
     ou_path_to_json,
+    pullback_batch,
     pullback_sample,
     random_field,
     sample_ball,
     vector_field,
 )
 from bhlattice.stochastic import (
+    OUPathStack,
     ou_decay,
     ou_innovation_std,
     realization_seed,
@@ -214,3 +217,64 @@ class TestPullback:
             NoiseConfig(h_path=0.0)
         with pytest.raises(ValueError):
             NoiseConfig(realizations=0)
+
+
+class TestPullbackBatch:
+    T = 2.0
+    DT = 0.01
+
+    def noise(self, sigma=0.1):
+        return NoiseConfig(sigma=sigma, h_path=0.01, pullback_T=self.T,
+                           realizations=3, master_seed=2024)
+
+    def test_every_row_equals_its_single_pullback(self, params):
+        init = sample_ball(1.5, "truncated", 4, 6, seed=0)
+        sigmas = (0.4, 0.1, 0.0)
+        # a path horizon beyond T, as the noise study uses for the radius
+        batch = pullback_batch(params, self.noise(), sigmas, range(3), self.DT,
+                               init, path_horizon=12.0)
+        assert batch.points.shape == (3, 3) + init.points.shape
+        assert batch.finite.all()
+        for path in batch.paths:
+            assert path.t_min == -12.0 and path.t_max == 0.0
+        for i, sigma in enumerate(sigmas):
+            for k in range(3):
+                one = pullback_sample(params, self.noise(sigma), k, self.DT,
+                                      init)
+                assert batch.points[i, k].tobytes() == one.points.tobytes()
+
+    def test_overflowing_rows_are_flagged_and_leave_the_rest_alone(self, params):
+        init = sample_ball(1.5, "truncated", 4, 6, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = pullback_batch(params, self.noise(), (40.0, 0.1), range(3),
+                                   self.DT, init)
+            with pytest.raises(NonFinite, match="integrator state overflowed"):
+                pullback_sample(params, self.noise(40.0), 0, self.DT, init)
+        assert not batch.finite[0].any()
+        assert batch.finite[1].all()
+        for k in range(3):
+            one = pullback_sample(params, self.noise(0.1), k, self.DT, init)
+            assert batch.points[1, k].tobytes() == one.points.tobytes()
+
+    def test_stacked_lookup_equals_single_paths_at_every_stage(self):
+        seeds = [realization_seed(2024, k) for k in range(4)]
+        long = [ou_path(s, -12.0, 0.0, 0.01) for s in seeds]
+        short = [ou_path(s, -self.T, 0.0, 0.01) for s in seeds]
+        stack = OUPathStack.of(long)
+        n_steps = int(round(self.T / self.DT))
+        dt = self.T / n_steps
+        t = -self.T
+        # the stage times of the RK4 loop, with its accumulated rounding
+        for _ in range(n_steps):
+            for ts in (t, t + 0.5 * dt, t + dt):
+                got = stack.at(ts)
+                for r in range(len(seeds)):
+                    assert got[r] == long[r].at(ts) == short[r].at(ts)
+            t += dt
+        with pytest.raises(ValueError):
+            stack.at(0.5)
+
+    def test_stack_needs_one_grid(self):
+        with pytest.raises(ValueError):
+            OUPathStack.of([ou_path(1, -2.0, 0.0, 0.01),
+                            ou_path(2, -3.0, 0.0, 0.01)])

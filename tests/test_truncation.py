@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhlattice import (
     LatticeWindow,
@@ -20,6 +22,7 @@ from bhlattice import (
     truncated_trajectory,
     vector_field,
 )
+from bhlattice.truncation import truncated_forcing
 
 
 @pytest.fixture
@@ -156,3 +159,45 @@ class TestEmbedding:
             TruncatedState(2, np.zeros(4))
         with pytest.raises(ValueError):
             TruncatedState(1, np.array([0.0, np.inf, 0.0]))
+
+
+# values with zeros of both signs drawn on purpose
+signed_values = st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-3.0, 3.0),
+                         min_size=3, max_size=3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(values=signed_values, flips=st.lists(st.booleans(), min_size=3, max_size=3))
+def test_equal_states_hash_equal(values, flips):
+    vals = np.array(values, dtype=float)
+    # the same vector with the sign of some of its zeros flipped
+    other = np.where(np.array(flips) & (vals == 0.0), -vals, vals)
+    a, b = TruncatedState(1, vals), TruncatedState(1, other)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_signed_zero_states_share_a_hash():
+    a = TruncatedState(1, [1.0, 0.0, 2.0])
+    b = TruncatedState(1, [1.0, -0.0, 2.0])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(offset=st.integers(-14, 14),
+       values=st.lists(st.floats(-3.0, 3.0), max_size=25),
+       m=st.integers(1, 8))
+def test_restriction_and_forcing_are_componentwise(offset, values, m):
+    u = LatticeWindow(offset, np.array(values, dtype=float))
+    expected = [u[i] for i in range(-m, m + 1)]
+    assert restriction(u, m).values.tolist() == expected
+    p = Params(nu=1.0, alpha=1.0, beta=1.0, gamma=0.5, lam=8.0, f=u)
+    assert truncated_forcing(p, m).tolist() == expected
+
+
+def test_restriction_of_window_outside_on_both_sides():
+    u = LatticeWindow(-5, np.arange(1.0, 12.0))
+    assert restriction(u, 2).values.tolist() == [4.0, 5.0, 6.0, 7.0, 8.0]
+    p = Params(nu=1.0, alpha=1.0, beta=1.0, gamma=0.5, lam=8.0, f=u)
+    assert truncated_forcing(p, 2).tolist() == [4.0, 5.0, 6.0, 7.0, 8.0]
