@@ -14,7 +14,7 @@ from .lattice import (CUTOFF_SLOPE_BOUND, DerivedConstants, LatticeWindow,
                       m_bound, norm_lp, tail_mass, vector_field)
 from .stepping import (StepConfig, StepInfo, Trajectory, global_error,
                        implicit_step, implicit_step_info, local_error,
-                       reference_flow, run_trajectory)
+                       reference_flow, reference_flows, run_trajectory)
 from .truncation import (TruncatedState, d_minus_m, d_minus_matrix, d_plus_m,
                          d_plus_matrix, laplacian_m, laplacian_matrix,
                          null_expansion, restriction, truncated_field,

@@ -22,8 +22,9 @@ from .errors import ConfigError, DissipativityViolation, NonFinite
 from .lattice import (LatticeWindow, Params, cutoff_xi, d_minus, d_plus,
                       derived_constants, l_bound, lambda_star, laplacian,
                       m_bound, tail_mass, vector_field)
-from .stepping import (StepConfig, advance_grid, f_on_grid, global_error,
-                       implicit_step_info, local_error, params_hash)
+from .stepping import (StepConfig, advance_grid, f_on_grid, global_defect,
+                       implicit_step_info, local_defect, params_hash,
+                       reference_flows, step_count)
 from .stochastic import (NoiseConfig, absorbing_radius, ou_decay,
                          ou_innovation_std, ou_path, pullback_batch,
                          random_field)
@@ -357,15 +358,28 @@ def run_error_order(cfg: ExperimentConfig, T: float = 0.5,
         raw = rng.standard_normal(17)
         raw *= (0.9 * dc.r_star * rng.random() ** (1 / 17)) / np.linalg.norm(raw)
         samples.append(LatticeWindow(-8, raw))
+    eps_list = cfg.grids.eps_error_list
+    n_implicit = [step_count(T, eps) for eps in eps_list]
+    # one stacked reference run, 100 steps per implicit step, for every
+    # (eps, sample) row: its snapshot at time eps is the local reference,
+    # the one at time T the global reference
+    dt_ref = [eps / 100.0 for eps in eps_list]
+    stops = [[100, 100 * n] for n in n_implicit for _ in samples]
+    ref = reference_flows(p, [y.to_grid(K) for _ in eps_list for y in samples],
+                          np.repeat(dt_ref, n_samples), stops, K)
     Lr = l_bound(p, dc.r_star)
     Mr = m_bound(p, dc.r_star)
     Lr1 = l_bound(p, dc.r_star + 1.0)
     rows = {"eps": [], "local_max": [], "global_max": [],
             "local_bound": [], "global_bound": []}
-    for eps in cfg.grids.eps_error_list:
-        dt_ref = eps / 100.0
-        locs = [local_error(p, eps, y, dt_ref, K) for y in samples]
-        globs = [global_error(p, eps, y, T, dt_ref, K) for y in samples]
+    for eps, n, ref_eps in zip(eps_list, n_implicit,
+                               ref.reshape(len(eps_list), n_samples, 2, -1)):
+        locs, globs = [], []
+        for y, (at_eps, at_T) in zip(samples, ref_eps):
+            u_eps = LatticeWindow.from_grid(at_eps, K)
+            u_T = LatticeWindow.from_grid(at_T, K)
+            locs.append(local_defect(p, eps, y, u_eps, K))
+            globs.append(global_defect(p, eps, y, n, u_T, K))
         rows["eps"].append(eps)
         rows["local_max"].append(max(locs))
         rows["global_max"].append(max(globs))
@@ -377,7 +391,10 @@ def run_error_order(cfg: ExperimentConfig, T: float = 0.5,
     rows["local_slope"] = [local_slope] * len(rows["eps"])
     rows["global_slope"] = [global_slope] * len(rows["eps"])
     prov = _provenance(cfg)
-    prov.update({"T": T, "n_samples": n_samples, "forcing": "off"})
+    prov.update({"T": T, "n_samples": n_samples, "forcing": "off",
+                 "dt_ref": dt_ref,
+                 "reference_rk4_steps": int(np.max(stops)),
+                 "reference_rows": len(stops)})
     return ResultTable("error_order", rows, prov)
 
 

@@ -93,23 +93,28 @@ def implicit_step_info(p: Params, cfg: StepConfig, u_prev: LatticeWindow,
     Returns (u_next, StepInfo).  The residual in StepInfo is the exact
     defect of the returned state.
     """
-    return _step_info(p, derived_constants(p), cfg, u_prev, half_width)
+    return _step_info(p, derived_constants(p), cfg, u_prev, half_width,
+                      f_on_grid(p, half_width), None)[:2]
 
 
 def _step_info(p: Params, dc: DerivedConstants, cfg: StepConfig,
-               u_prev: LatticeWindow, half_width: int):
-    """``implicit_step_info`` with the constants of p already computed."""
+               u_prev: LatticeWindow, half_width: int, f_grid: np.ndarray,
+               F_prev: np.ndarray | None):
+    """``implicit_step_info`` with the constants and the forcing grid of p
+    already computed.  F_prev, if given, is F at u_prev's grid and saves the
+    Picard solve one evaluation.  Returns (u_next, StepInfo, F(u_next)),
+    with None in place of F(u_next) for the Newton solve."""
     _check_step(dc, cfg, u_prev)
     grid = _to_grid_clamped(u_prev, half_width)
-    f_grid = f_on_grid(p, half_width)
+    Fy = None
     if cfg.method == "newton":
         y, resid, iters = _grid.newton_solve(
             p, grid, cfg.eps, f_grid, "window", cfg.fp_tol, cfg.max_iter)
     else:
-        y, resid, iters, _ = _grid.picard_solve(
+        y, resid, iters, Fy = _grid.picard_solve(
             lambda U: _grid.field(p, U, f_grid, "window"),
-            grid, cfg.eps, cfg.fp_tol, cfg.max_iter)
-    return LatticeWindow.from_grid(y, half_width), StepInfo(resid, iters)
+            grid, cfg.eps, cfg.fp_tol, cfg.max_iter, F_prev)
+    return LatticeWindow.from_grid(y, half_width), StepInfo(resid, iters), Fy
 
 
 def implicit_step(p: Params, cfg: StepConfig, u_prev: LatticeWindow,
@@ -122,12 +127,15 @@ def run_trajectory(p: Params, cfg: StepConfig, u0: LatticeWindow,
     """Iterate the implicit step; returns the full state sequence u_0..u_N."""
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    dc = derived_constants(p) if n_steps else None
     states = [u0]
-    u = u0
-    for _ in range(n_steps):
-        u = _step_info(p, dc, cfg, u, half_width)[0]
-        states.append(u)
+    if n_steps:
+        dc = derived_constants(p)
+        f_grid = f_on_grid(p, half_width)
+        # each step starts from the last step's solution, whose F(y) is known
+        u, F = u0, None
+        for _ in range(n_steps):
+            u, _, F = _step_info(p, dc, cfg, u, half_width, f_grid, F)
+            states.append(u)
     return Trajectory(tuple(states), cfg.eps, params_hash(p))
 
 
@@ -143,6 +151,56 @@ def advance_grid(p: Params, cfg: StepConfig, U: np.ndarray, n_steps: int,
     return U
 
 
+def step_count(t: float, dt: float) -> int:
+    """Number of steps of size dt that reach time t; t must be an integer
+    multiple of dt."""
+    n = int(round(t / dt))
+    if abs(n * dt - t) > 1e-9 * max(t, dt):
+        raise ValueError(
+            f"time {t} is not an integer multiple of the step {dt}")
+    return n
+
+
+def reference_flows(p: Params, Y: np.ndarray, dts, stops,
+                    half_width: int = DEFAULT_HALF_WIDTH) -> np.ndarray:
+    """Reference flows of an (R, n) stack of start grids, n = 2*half_width+1,
+    by the classical fourth-order one-step method.
+
+    Row r steps with dts[r] and is recorded after each step count in
+    stops[r] (an (R, k) array of nonnegative integers); the result is the
+    (R, k, n) array of those snapshots.  All rows advance together, in
+    segments between the sorted step counts, and a row leaves the stack
+    once its last snapshot is taken; each snapshot equals, bit for bit, the
+    integration of its row alone.  Raises NonFinite if a snapshot overflowed.
+    """
+    Y = np.asarray(Y, dtype=float)
+    dts = np.asarray(dts, dtype=float)
+    stops = np.asarray(stops, dtype=int)
+    if Y.ndim != 2 or Y.shape[1] != 2 * half_width + 1:
+        raise ValueError("Y must be an (R, 2*half_width+1) stack of grids")
+    if dts.shape != (len(Y),) or stops.ndim != 2 or len(stops) != len(Y):
+        raise ValueError("dts and stops need one row per grid in Y")
+    if np.any(dts <= 0):
+        raise ValueError("dt_ref must be positive")
+    if np.any(stops < 0):
+        raise ValueError("step counts must be nonnegative")
+    f_grid = f_on_grid(p, half_width)
+    out = np.empty(stops.shape + Y.shape[1:])
+    live = np.arange(len(Y))
+    U, done = Y, 0
+    for stop in np.unique(stops):
+        if stop > done:
+            # the field is autonomous, so each row may keep its own step
+            U = _grid.rk4(lambda _t, V: _grid.field(p, V, f_grid, "window"),
+                          U, 0.0, dts[live, None], int(stop - done))
+            done = stop
+        rows, cols = np.nonzero(stops[live] == stop)
+        out[live[rows], cols] = _grid.require_finite(U[rows])
+        keep = stops[live].max(axis=1) > stop
+        live, U = live[keep], U[keep]
+    return out
+
+
 def reference_flow(p: Params, u0: LatticeWindow, t: float, dt_ref: float,
                    half_width: int = DEFAULT_HALF_WIDTH) -> LatticeWindow:
     """Approximate continuous-time flow u(t, u0) by the classical fourth-order
@@ -151,15 +209,30 @@ def reference_flow(p: Params, u0: LatticeWindow, t: float, dt_ref: float,
         raise ValueError("t must be nonnegative")
     if dt_ref <= 0:
         raise ValueError("dt_ref must be positive")
-    n = int(round(t / dt_ref))
-    if abs(n * dt_ref - t) > 1e-9 * max(t, dt_ref):
-        raise ValueError("t must be a multiple of dt_ref")
+    n = step_count(t, dt_ref)
     grid = _to_grid_clamped(u0, half_width)
-    f_grid = f_on_grid(p, half_width)
-    out = _grid.rk4(lambda _t, U: _grid.field(p, U, f_grid, "window"),
-                    grid, 0.0, dt_ref, n)
-    _grid.require_finite(out)
-    return LatticeWindow.from_grid(out, half_width)
+    out = reference_flows(p, grid[None], [dt_ref], [[n]], half_width)
+    return LatticeWindow.from_grid(out[0, 0], half_width)
+
+
+def local_defect(p: Params, eps: float, y: LatticeWindow,
+                 u_exact: LatticeWindow, half_width: int = DEFAULT_HALF_WIDTH,
+                 fp_tol: float = 1e-12) -> float:
+    """||u_exact - u^eps_1(y)|| for a single implicit step from y, with
+    u_exact the reference flow from y at time eps."""
+    cfg = StepConfig(eps=eps, fp_tol=fp_tol, enforce_eps_star=False)
+    return (u_exact - implicit_step(p, cfg, y, half_width)).norm()
+
+
+def global_defect(p: Params, eps: float, y: LatticeWindow, n_steps: int,
+                  u_exact: LatticeWindow, half_width: int = DEFAULT_HALF_WIDTH,
+                  fp_tol: float = 1e-12) -> float:
+    """||u_exact - u^eps_n(y)|| after n_steps implicit steps from y, with
+    u_exact the reference flow from y at time n_steps*eps."""
+    cfg = StepConfig(eps=eps, fp_tol=fp_tol, enforce_eps_star=False)
+    grid = advance_grid(p, cfg, _to_grid_clamped(y, half_width), n_steps,
+                        "window", f_on_grid(p, half_width))
+    return float(np.linalg.norm(u_exact.to_grid(half_width) - grid))
 
 
 def local_error(p: Params, eps: float, y: LatticeWindow, dt_ref: float,
@@ -167,22 +240,14 @@ def local_error(p: Params, eps: float, y: LatticeWindow, dt_ref: float,
                 fp_tol: float = 1e-12) -> float:
     """One-step defect ||u(eps, y) - u^eps_1(y)|| between the reference flow
     and a single implicit step, both started from y."""
-    cfg = StepConfig(eps=eps, fp_tol=fp_tol, enforce_eps_star=False)
-    u_implicit = implicit_step(p, cfg, y, half_width)
     u_exact = reference_flow(p, y, eps, dt_ref, half_width)
-    return (u_exact - u_implicit).norm()
+    return local_defect(p, eps, y, u_exact, half_width, fp_tol)
 
 
 def global_error(p: Params, eps: float, y: LatticeWindow, T: float,
                  dt_ref: float, half_width: int = DEFAULT_HALF_WIDTH,
                  fp_tol: float = 1e-12) -> float:
     """||u(T, y) - u^eps_{T/eps}(y)|| with T an integer multiple of eps."""
-    n = int(round(T / eps))
-    if abs(n * eps - T) > 1e-9 * max(T, eps):
-        raise ValueError("T must be an integer multiple of eps")
-    cfg = StepConfig(eps=eps, fp_tol=fp_tol, enforce_eps_star=False)
-    grid = _to_grid_clamped(y, half_width)
-    f_grid = f_on_grid(p, half_width)
-    grid = advance_grid(p, cfg, grid, n, "window", f_grid)
+    n = step_count(T, eps)
     u_exact = reference_flow(p, y, T, dt_ref, half_width)
-    return float(np.linalg.norm(u_exact.to_grid(half_width) - grid))
+    return global_defect(p, eps, y, n, u_exact, half_width, fp_tol)

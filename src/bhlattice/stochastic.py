@@ -227,12 +227,15 @@ def pullback_batch(p: Params, noise: NoiseConfig, sigmas, realizations,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    n_steps = int(round(noise.pullback_T / dt))
+    if n_steps < 1:
+        raise ValueError(f"pullback_T={noise.pullback_T} is shorter than half "
+                         f"the step dt={dt}")
+    dt = noise.pullback_T / n_steps
     horizon = max(noise.pullback_T, path_horizon)
     paths = tuple(ou_path(realization_seed(noise.master_seed, k), -horizon,
                           0.0, noise.h_path) for k in realizations)
     stack = OUPathStack.of(paths)
-    n_steps = int(round(noise.pullback_T / dt))
-    dt = noise.pullback_T / n_steps
     mode = initial_cloud.space
     if mode == "truncated":
         f_grid = truncated_forcing(p, initial_cloud.half_width)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -14,6 +15,12 @@ from bhlattice import (
     ResultTable,
     default_config,
     default_params,
+    derived_constants,
+    global_error,
+    l_bound,
+    local_error,
+    m_bound,
+    run_error_order,
     run_noise_convergence,
     verify,
     write_table,
@@ -159,6 +166,65 @@ class TestNoiseStudy:
     def test_sigma_slope_needs_two_positive_sigmas(self):
         table = run_noise_convergence(self.small_config((0.2, 0.0)))
         assert table.provenance["sigma_slope"] is None
+
+
+class TestErrorOrder:
+    EPS = (0.02, 0.01, 0.005)
+    T = 0.1
+
+    def config(self):
+        cfg = default_config()
+        cfg.grids = GridConfig(eps_error_list=self.EPS)
+        return cfg
+
+    def one_pair_table(self, cfg, n_samples):
+        """The study's columns, one local_error and one global_error call
+        per (eps, sample) pair, on the samples run_error_order draws."""
+        p = cfg.params.replace(f=LatticeWindow.zero())
+        dc = derived_constants(p)
+        rng = np.random.default_rng(cfg.master_seed)
+        samples = []
+        for _ in range(n_samples):
+            raw = rng.standard_normal(17)
+            raw *= (0.9 * dc.r_star * rng.random() ** (1 / 17)) / np.linalg.norm(raw)
+            samples.append(LatticeWindow(-8, raw))
+        Lr, Mr = l_bound(p, dc.r_star), m_bound(p, dc.r_star)
+        Lr1 = l_bound(p, dc.r_star + 1.0)
+        cols = {"eps": list(self.EPS), "local_max": [], "global_max": [],
+                "local_bound": [], "global_bound": []}
+        for eps in self.EPS:
+            dt_ref = eps / 100.0
+            cols["local_max"].append(
+                max(local_error(p, eps, y, dt_ref, 32) for y in samples))
+            cols["global_max"].append(
+                max(global_error(p, eps, y, self.T, dt_ref, 32) for y in samples))
+            cols["local_bound"].append(Lr * Mr * Lr1 * eps**2)
+            cols["global_bound"].append(Mr / 2.0 * math.exp(Lr * self.T) * eps)
+        log_eps = np.log(cols["eps"])
+        for name in ("local", "global"):
+            slope = float(np.polyfit(log_eps, np.log(cols[name + "_max"]), 1)[0])
+            cols[name + "_slope"] = [slope] * len(self.EPS)
+        return cols
+
+    @pytest.mark.parametrize("n_samples", [1, 2])
+    def test_columns_equal_the_one_pair_loop(self, n_samples):
+        cfg = self.config()
+        table = run_error_order(cfg, T=self.T, n_samples=n_samples)
+        want = self.one_pair_table(cfg, n_samples)
+        assert list(table.columns) == list(want)
+        for name, col in want.items():
+            assert [x.hex() for x in table.column(name)] == \
+                [float(x).hex() for x in col], name
+        prov = table.provenance
+        assert prov["dt_ref"] == [eps / 100.0 for eps in self.EPS]
+        # the smallest reference step, run to T, sets the stacked step count
+        assert prov["reference_rk4_steps"] == 2000
+        assert prov["reference_rows"] == len(self.EPS) * n_samples
+        json.dumps(prov)
+
+    def test_horizon_must_be_a_multiple_of_every_eps(self):
+        with pytest.raises(ValueError, match="integer multiple"):
+            run_error_order(self.config(), T=0.05, n_samples=1)
 
 
 class TestVerify:

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bhlattice import (
     LatticeWindow,
@@ -20,7 +23,14 @@ from bhlattice import (
     reference_flow,
     run_trajectory,
 )
-from bhlattice import stepping
+from bhlattice import _grid, stepping
+
+# fixed example sequence and no example database, so runs repeat exactly
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+FORCED = Params(nu=1.0, alpha=1.0, beta=1.0, gamma=0.5, lam=8.0,
+                f=LatticeWindow.basis(0, 1.4375))
 
 
 @pytest.fixture
@@ -171,6 +181,52 @@ class TestTrajectory:
             assert u == state
 
 
+    def test_states_bitwise_equal_to_single_steps(self):
+        cfg = StepConfig(eps=0.01)
+        u0 = LatticeWindow(-2, [0.3, -0.7, 0.5, 0.0, 0.2])
+        traj = run_trajectory(FORCED, cfg, u0, 40, 16)
+        u = u0
+        for state in traj.states[1:]:
+            u = implicit_step(FORCED, cfg, u, 16)
+            assert (u.offset, u.values.tobytes()) == \
+                (state.offset, state.values.tobytes())
+
+    def test_field_of_each_solution_carries_over(self, monkeypatch):
+        """n Picard steps cost 1 + sum(iterations) field evaluations: only
+        the first step evaluates F at its start state."""
+        evals, iters = [0], []
+        real_field, real_solve = _grid.field, _grid.picard_solve
+
+        def counting_field(*args):
+            evals[0] += 1
+            return real_field(*args)
+
+        def recording_solve(*args):
+            out = real_solve(*args)
+            iters.append(out[2])
+            return out
+
+        monkeypatch.setattr(_grid, "field", counting_field)
+        monkeypatch.setattr(_grid, "picard_solve", recording_solve)
+        n = 25
+        u0 = LatticeWindow.basis(0, 0.5)
+        run_trajectory(FORCED, StepConfig(eps=0.01), u0, n, 16)
+        assert len(iters) == n
+        assert evals[0] == 1 + sum(iters) < sum(i + 1 for i in iters)
+
+    def test_newton_steps_run_through_it(self, params, monkeypatch):
+        cfg = StepConfig(eps=0.01, fp_tol=1e-13, method="newton")
+        u0 = LatticeWindow.basis(0, 0.5)
+        traj = run_trajectory(params, cfg, u0, 5, 16)
+        u = u0
+        for state in traj.states[1:]:
+            u = implicit_step(params, cfg, u, 16)
+            assert u.values.tobytes() == state.values.tobytes()
+        # the Newton path never enters the Picard solve
+        monkeypatch.setattr(_grid, "picard_solve", None)
+        assert run_trajectory(params, cfg, u0, 5, 16).states == traj.states
+
+
 class TestReferenceFlow:
     def test_time_zero_identity(self, params):
         u0 = LatticeWindow.basis(0, 0.3)
@@ -201,6 +257,63 @@ class TestReferenceFlow:
             with pytest.raises(NonFinite, match="integrator state overflowed"):
                 reference_flow(params, u0, 1.0, 0.1, 4)
 
+
+@st.composite
+def reference_stacks(draw):
+    """(Y, dts, stops, K): 1-4 start grids, each row with its own step and
+    the same number of snapshot step counts, in any order, repeats and 0
+    allowed."""
+    K = draw(st.integers(1, 6))
+    R = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    Y = draw(hnp.arrays(np.float64, (R, 2 * K + 1),
+                        elements=st.floats(-1.0, 1.0)))
+    dts = draw(st.lists(st.sampled_from([1e-3, 2.5e-3, 5e-3, 1e-2]),
+                        min_size=R, max_size=R))
+    stops = draw(st.lists(st.lists(st.integers(0, 12), min_size=k, max_size=k),
+                          min_size=R, max_size=R))
+    return Y, dts, stops, K
+
+
+class TestReferenceFlows:
+    @PROPERTY
+    @given(reference_stacks())
+    @example((np.linspace(-0.5, 0.5, 9).reshape(3, 3), [2.5e-3, 1e-3, 5e-3],
+              [[12, 0], [3, 3], [7, 12]], 1))
+    def test_each_snapshot_equals_its_row_integrated_alone(self, stack):
+        Y, dts, stops, K = stack
+        got = stepping.reference_flows(FORCED, Y, dts, stops, K)
+        assert got.shape == (len(Y), len(stops[0]), 2 * K + 1)
+        f_grid = FORCED.f.to_grid(K)
+        for r, row in enumerate(stops):
+            for j, n in enumerate(row):
+                alone = _grid.rk4(
+                    lambda _t, U: _grid.field(FORCED, U, f_grid, "window"),
+                    Y[r], 0.0, dts[r], n)
+                assert got[r, j].tobytes() == alone.tobytes()
+
+    def test_one_overflowing_row_raises_nonfinite(self):
+        Y = np.zeros((3, 9))
+        Y[:, 4] = [0.1, 1e3, 0.2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFinite, match="integrator state overflowed"):
+                stepping.reference_flows(FORCED, Y, [0.1] * 3,
+                                         [[1], [10], [20]], 4)
+
+    @pytest.mark.parametrize("dts, stops", [
+        ([0.01], [[1]]),               # one dt for two rows
+        ([0.01, 0.0], [[1], [1]]),     # a step that is not positive
+        ([0.01, 0.01], [[1], [-1]]),   # a negative step count
+        ([0.01, 0.01], [1, 1]),        # stops not one row per grid
+    ])
+    def test_rejects_malformed_rows(self, dts, stops):
+        with pytest.raises(ValueError):
+            stepping.reference_flows(FORCED, np.zeros((2, 9)), dts, stops, 4)
+
+    def test_rejects_grids_of_the_wrong_width(self):
+        with pytest.raises(ValueError):
+            stepping.reference_flows(FORCED, np.zeros((2, 7)), [0.01] * 2,
+                                     [[1], [1]], 4)
 
 class TestClampedGrid:
     @pytest.mark.parametrize("offset, size", [(-7, 15), (-7, 4), (5, 3),
@@ -242,6 +355,13 @@ class TestDiscretizationError:
         e1 = global_error(params, 0.02, y, 0.4, 2e-4, 16)
         e2 = global_error(params, 0.01, y, 0.4, 1e-4, 16)
         assert 1.5 <= e1 / e2 <= 2.8
+
+    def test_horizon_must_be_a_multiple_of_eps(self, params):
+        y = LatticeWindow.basis(0, 0.5)
+        with pytest.raises(ValueError, match="integer multiple"):
+            global_error(params, 0.02, y, 0.05, 2e-4, 16)
+        with pytest.raises(ValueError, match="integer multiple"):
+            reference_flow(params, y, 0.05, 0.02, 16)
 
 
 class TestAbsorption:

@@ -274,6 +274,14 @@ class TestPullbackBatch:
         with pytest.raises(ValueError):
             stack.at(0.5)
 
+    def test_horizon_shorter_than_half_a_step_is_a_value_error(self, params):
+        noise = NoiseConfig(sigma=0.1, h_path=0.001, pullback_T=0.004)
+        init = sample_ball(1.0, "truncated", 3, 4, seed=0)
+        with pytest.raises(ValueError, match="pullback_T=0.004.*dt=0.01"):
+            pullback_batch(params, noise, (0.1,), range(2), 0.01, init)
+        with pytest.raises(ValueError, match="pullback_T=0.004.*dt=0.01"):
+            pullback_sample(params, noise, 0, 0.01, init)
+
     def test_stack_needs_one_grid(self):
         with pytest.raises(ValueError):
             OUPathStack.of([ou_path(1, -2.0, 0.0, 0.01),
