@@ -8,10 +8,10 @@ __version__ = "0.1.0"
 from .errors import (BhLatticeError, ConfigError, DissipativityViolation,
                      HorizonTooShort, NoConvergence, NonFinite, NotStabilized,
                      SpaceMismatch, StepTooLarge)
-from .lattice import (CUTOFF_SLOPE_BOUND, DerivedConstants, LatticeWindow,
-                      Params, cutoff_xi, d_minus, d_plus, derived_constants,
-                      l_bound, lambda_star, lambda_star_coeffs, laplacian,
-                      m_bound, norm_lp, tail_mass, vector_field)
+from .lattice import (DerivedConstants, LatticeWindow, Params, cutoff_xi,
+                      d_minus, d_plus, derived_constants, l_bound,
+                      lambda_star, lambda_star_coeffs, laplacian, m_bound,
+                      norm_lp, tail_mass, vector_field)
 from .stepping import (StepConfig, StepInfo, Trajectory, global_error,
                        implicit_step, implicit_step_info, local_error,
                        reference_flow, reference_flows, run_trajectory)
@@ -21,8 +21,8 @@ from .truncation import (TruncatedState, d_minus_m, d_minus_matrix, d_plus_m,
                          truncated_step, truncated_trajectory)
 from .attractor import (AttractorConfig, PointCloud, attractor_approx,
                         cloud_from_json, cloud_norm, cloud_to_json,
-                        embed_cloud, hausdorff_semi, hausdorff_semi_pruned,
-                        hausdorff_sym, sample_ball, tail_profile)
+                        embed_cloud, hausdorff_semi, hausdorff_sym,
+                        sample_ball, tail_profile)
 from .stochastic import (AbsorbingRadius, NoiseConfig, OUPath,
                          absorbing_radius, ergodic_average, ou_path,
                          ou_path_from_json, ou_path_to_json, pullback_batch,

@@ -99,24 +99,6 @@ def cloud_norm(A: PointCloud) -> float:
     return float(np.max(np.linalg.norm(A.points, axis=1)))
 
 
-def hausdorff_semi_pruned(A: PointCloud, B: PointCloud) -> float:
-    """Early-exit variant of the semi-distance; regression-tested against
-    the brute-force double loop."""
-    _check_same_space(A, B)
-    best_overall = 0.0
-    for a in A.points:
-        best = np.inf
-        for b in B.points:
-            d = float(np.linalg.norm(a - b))
-            if d < best:
-                best = d
-                if best <= best_overall:
-                    break  # this a cannot raise the maximum
-        if best > best_overall:
-            best_overall = best
-    return best_overall
-
-
 def _check_same_space(A: PointCloud, B: PointCloud):
     if A.space != B.space or A.half_width != B.half_width:
         raise SpaceMismatch(

@@ -1,14 +1,13 @@
 """Command-line interface for simulations, attractor studies, and the
-verification suite.
+configuration check ``verify``.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
+Exit codes: 0 success, 1 a failing ``verify`` check, 2 configuration error,
 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -120,7 +119,8 @@ def main(argv=None) -> int:
     sp.add_argument("--horizon", type=float, default=100.0)
     sp.add_argument("--h", type=float, default=0.01)
 
-    sub.add_parser("verify", help="run the full invariant suite")
+    sub.add_parser("verify", help="check that lam > lam*, every eps is at "
+                   "most eps* and the solver meets its contract")
 
     args = parser.parse_args(argv)
     try:

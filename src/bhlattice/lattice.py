@@ -10,14 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable
 
 import numpy as np
 
 from .errors import DissipativityViolation
-
-# sup |xi'| for the cubic smoothstep ramp used by the cut-off function
-CUTOFF_SLOPE_BOUND = 1.5
 
 
 def _canonical(offset: int, values: np.ndarray) -> tuple[int, np.ndarray]:
@@ -62,17 +58,6 @@ class LatticeWindow:
     @staticmethod
     def basis(i: int, amplitude: float = 1.0) -> "LatticeWindow":
         return LatticeWindow(i, np.array([amplitude], dtype=float))
-
-    @staticmethod
-    def from_items(items: dict) -> "LatticeWindow":
-        if not items:
-            return LatticeWindow.zero()
-        lo = min(items)
-        hi = max(items)
-        arr = np.zeros(hi - lo + 1)
-        for i, v in items.items():
-            arr[i - lo] = v
-        return LatticeWindow(lo, arr)
 
     @staticmethod
     def from_grid(grid: np.ndarray, half_width: int) -> "LatticeWindow":
@@ -299,13 +284,11 @@ def l_bound(p: Params, r: float) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class DerivedConstants:
-    """Absorbing radius, safe step cap, and the bound evaluators."""
+    """Dissipativity threshold, absorbing radius and safe step cap."""
 
     lambda_star: float
     r_star: float
     eps_star: float
-    m_of_r: Callable[[float], float]
-    l_of_r: Callable[[float], float]
 
 
 def derived_constants(p: Params) -> DerivedConstants:
@@ -325,8 +308,6 @@ def derived_constants(p: Params) -> DerivedConstants:
         lambda_star=ls,
         r_star=r_star,
         eps_star=eps_star,
-        m_of_r=lambda r: m_bound(p, r),
-        l_of_r=lambda r: l_bound(p, r),
     )
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from . import _grid
 from .errors import StepTooLarge
 from .lattice import (DerivedConstants, LatticeWindow, Params,
-                      derived_constants, vector_field)
+                      derived_constants)
 
 DEFAULT_HALF_WIDTH = 128
 # tail mass silently lost to window clamping before a warning is emitted
@@ -76,14 +76,37 @@ def _to_grid_clamped(u: LatticeWindow, half_width: int) -> np.ndarray:
     return u.to_grid(half_width)
 
 
-def _check_step(dc: DerivedConstants, cfg: StepConfig, u_prev: LatticeWindow):
+def _check_step(dc: DerivedConstants, cfg: StepConfig, norm: float):
+    """Refuse a step above eps* (unless cfg allows it) and warn when the
+    state, of l^2 norm ``norm``, starts outside the absorbing ball."""
     if cfg.enforce_eps_star and cfg.eps > dc.eps_star:
         raise StepTooLarge(
             f"eps={cfg.eps} exceeds the contraction-safe cap {dc.eps_star}")
-    if u_prev.norm() > dc.r_star * (1.0 + 1e-12):
+    if norm > dc.r_star * (1.0 + 1e-12):
         warnings.warn(
             "initial state lies outside the absorbing ball; the contraction "
             "guarantees do not apply", RuntimeWarning)
+
+
+def grid_step(p: Params, cfg: StepConfig, grid: np.ndarray,
+              f_grid: np.ndarray, mode: str,
+              F_prev: np.ndarray | None = None):
+    """One implicit Euler step y = grid + eps*F(y) of a single state grid,
+    with the boundary closure ``mode``; the caller runs ``_check_step``.
+
+    F_prev, if given, is F at grid and saves the Picard solve one
+    evaluation.  Returns (y, StepInfo, F(y)), with None in place of F(y)
+    for the Newton solve.  The residual in StepInfo is the exact defect of
+    y.
+    """
+    if cfg.method == "newton":
+        y, resid, iters = _grid.newton_solve(
+            p, grid, cfg.eps, f_grid, mode, cfg.fp_tol, cfg.max_iter)
+        return y, StepInfo(resid, iters), None
+    y, resid, iters, Fy = _grid.picard_solve(
+        lambda U: _grid.field(p, U, f_grid, mode),
+        grid, cfg.eps, cfg.fp_tol, cfg.max_iter, F_prev)
+    return y, StepInfo(resid, iters), Fy
 
 
 def implicit_step_info(p: Params, cfg: StepConfig, u_prev: LatticeWindow,
@@ -93,28 +116,10 @@ def implicit_step_info(p: Params, cfg: StepConfig, u_prev: LatticeWindow,
     Returns (u_next, StepInfo).  The residual in StepInfo is the exact
     defect of the returned state.
     """
-    return _step_info(p, derived_constants(p), cfg, u_prev, half_width,
-                      f_on_grid(p, half_width), None)[:2]
-
-
-def _step_info(p: Params, dc: DerivedConstants, cfg: StepConfig,
-               u_prev: LatticeWindow, half_width: int, f_grid: np.ndarray,
-               F_prev: np.ndarray | None):
-    """``implicit_step_info`` with the constants and the forcing grid of p
-    already computed.  F_prev, if given, is F at u_prev's grid and saves the
-    Picard solve one evaluation.  Returns (u_next, StepInfo, F(u_next)),
-    with None in place of F(u_next) for the Newton solve."""
-    _check_step(dc, cfg, u_prev)
-    grid = _to_grid_clamped(u_prev, half_width)
-    Fy = None
-    if cfg.method == "newton":
-        y, resid, iters = _grid.newton_solve(
-            p, grid, cfg.eps, f_grid, "window", cfg.fp_tol, cfg.max_iter)
-    else:
-        y, resid, iters, Fy = _grid.picard_solve(
-            lambda U: _grid.field(p, U, f_grid, "window"),
-            grid, cfg.eps, cfg.fp_tol, cfg.max_iter, F_prev)
-    return LatticeWindow.from_grid(y, half_width), StepInfo(resid, iters), Fy
+    _check_step(derived_constants(p), cfg, u_prev.norm())
+    y, info, _ = grid_step(p, cfg, _to_grid_clamped(u_prev, half_width),
+                           f_on_grid(p, half_width), "window")
+    return LatticeWindow.from_grid(y, half_width), info
 
 
 def implicit_step(p: Params, cfg: StepConfig, u_prev: LatticeWindow,
@@ -131,11 +136,13 @@ def run_trajectory(p: Params, cfg: StepConfig, u0: LatticeWindow,
     if n_steps:
         dc = derived_constants(p)
         f_grid = f_on_grid(p, half_width)
-        # each step starts from the last step's solution, whose F(y) is known
-        u, F = u0, None
+        # the state stays a grid between steps, and each step starts from
+        # the last step's solution, whose F(y) is known
+        y, F = _to_grid_clamped(u0, half_width), None
         for _ in range(n_steps):
-            u, _, F = _step_info(p, dc, cfg, u, half_width, f_grid, F)
-            states.append(u)
+            _check_step(dc, cfg, float(np.linalg.norm(y)))
+            y, _, F = grid_step(p, cfg, y, f_grid, "window", F)
+            states.append(LatticeWindow.from_grid(y, half_width))
     return Trajectory(tuple(states), cfg.eps, params_hash(p))
 
 

@@ -8,9 +8,8 @@ import dataclasses
 import numpy as np
 
 from . import _grid
-from .errors import StepTooLarge
 from .lattice import LatticeWindow, Params, derived_constants
-from .stepping import StepConfig, StepInfo
+from .stepping import StepConfig, _check_step, grid_step
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,20 +96,10 @@ def truncated_field(p: Params, x: TruncatedState) -> TruncatedState:
 def truncated_step_info(p: Params, cfg: StepConfig, x_prev: TruncatedState):
     """One implicit Euler step of the truncated system, same contraction
     solve as the infinite system but over R^(2m+1)."""
-    dc = derived_constants(p)
-    if cfg.enforce_eps_star and cfg.eps > dc.eps_star:
-        raise StepTooLarge(
-            f"eps={cfg.eps} exceeds the contraction-safe cap {dc.eps_star}")
-    f_m = truncated_forcing(p, x_prev.m)
-    if cfg.method == "newton":
-        y, resid, iters = _grid.newton_solve(
-            p, x_prev.values, cfg.eps, f_m, "truncated", cfg.fp_tol,
-            cfg.max_iter)
-    else:
-        y, resid, iters, _ = _grid.picard_solve(
-            lambda U: _grid.field(p, U, f_m, "truncated"),
-            x_prev.values, cfg.eps, cfg.fp_tol, cfg.max_iter)
-    return TruncatedState(x_prev.m, y), StepInfo(resid, iters)
+    _check_step(derived_constants(p), cfg, x_prev.norm())
+    y, info, _ = grid_step(p, cfg, x_prev.values,
+                           truncated_forcing(p, x_prev.m), "truncated")
+    return TruncatedState(x_prev.m, y), info
 
 
 def truncated_step(p: Params, cfg: StepConfig, x_prev: TruncatedState) -> TruncatedState:
@@ -122,10 +111,15 @@ def truncated_trajectory(p: Params, cfg: StepConfig, x0: TruncatedState,
     if n < 0:
         raise ValueError("n must be nonnegative")
     states = [x0]
-    x = x0
-    for _ in range(n):
-        x = truncated_step(p, cfg, x)
-        states.append(x)
+    if n:
+        dc = derived_constants(p)
+        f_m = truncated_forcing(p, x0.m)
+        # each step starts from the last step's solution, whose F(y) is known
+        y, F = x0.values, None
+        for _ in range(n):
+            _check_step(dc, cfg, float(np.linalg.norm(y)))
+            y, _, F = grid_step(p, cfg, y, f_m, "truncated", F)
+            states.append(TruncatedState(x0.m, y))
     return states
 
 

@@ -25,7 +25,6 @@ from bhlattice import (
     default_params,
     derived_constants,
     ergodic_average,
-    hausdorff_semi_pruned,
     implicit_step_info,
     l_bound,
     laplacian,
@@ -281,14 +280,12 @@ def test_criterion_12_noise_convergence(cfg):
 def test_criterion_13_oracle_equivalences():
     rng = np.random.default_rng(104)
     ok = True
-    # pruned Hausdorff vs an independent plain double loop (exact)
+    # Hausdorff semi-distance vs an independent plain double loop
     for _ in range(20):
         A = PointCloud("window", 4, rng.standard_normal((rng.integers(1, 65), 9)))
         B = PointCloud("window", 4, rng.standard_normal((rng.integers(1, 65), 9)))
         brute = max(min(float(np.linalg.norm(a - b)) for b in B.points)
                     for a in A.points)
-        if hausdorff_semi_pruned(A, B) != brute:
-            ok = False
         if abs(hausdorff_semi(A, B) - brute) > 1e-12:
             ok = False
     # Laplacian factorization on both forms
@@ -309,4 +306,4 @@ def test_criterion_13_oracle_equivalences():
         for i in range(-9, 10):
             if abs(fx.values[i + 10] - fw[i]) > 1e-12:
                 ok = False
-    report(13, ok, "pruning, factorization, interior stencils")
+    report(13, ok, "Hausdorff, factorization, interior stencils")

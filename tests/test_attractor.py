@@ -12,7 +12,6 @@ from bhlattice import (
     cloud_to_json,
     embed_cloud,
     hausdorff_semi,
-    hausdorff_semi_pruned,
     hausdorff_sym,
     sample_ball,
     tail_profile,
@@ -81,14 +80,6 @@ class TestHausdorff:
         A, B, C = (cloud(rng.standard_normal((10, 7))) for _ in range(3))
         assert hausdorff_sym(A, C) <= \
             hausdorff_sym(A, B) + hausdorff_sym(B, C) + 1e-12
-
-    def test_pruned_matches_brute_force(self):
-        rng = np.random.default_rng(34)
-        for _ in range(50):
-            A = cloud(rng.standard_normal((rng.integers(1, 25), 9)))
-            B = cloud(rng.standard_normal((rng.integers(1, 25), 9)))
-            assert hausdorff_semi_pruned(A, B) == \
-                pytest.approx(hausdorff_semi(A, B), abs=1e-13)
 
     def test_space_mismatch(self):
         A = cloud([[0.0, 0.0, 0.0]])

@@ -229,12 +229,21 @@ class TestErrorOrder:
 
 class TestVerify:
     def test_default_config_passes(self):
-        ok, report = verify(default_config(), pair_samples=60)
+        ok, report = verify(default_config())
         failed = [c["check"] for c in report["checks"]
                   if c["status"] != "pass"]
         assert ok, f"failed checks: {failed}"
-        assert len(report["checks"]) >= 12
         assert "config_hash" in report
+        assert [c["check"] for c in report["checks"]] == \
+            ["dissipativity", "step_cap", "solver_contract"]
+        cfg = default_config()
+        dc = cfg.validate()
+        step_cap = report["checks"][1]["witness"]
+        assert step_cap["eps_star"] == dc.eps_star
+        assert step_cap["eps_max"] == max(cfg.grids.eps_list)
+        assert step_cap["contraction_factor"] == \
+            max(cfg.grids.eps_list) * l_bound(cfg.params, dc.r_star + 1.0)
+        assert step_cap["contraction_factor"] < 1.0
 
 
 class TestCli:
@@ -305,3 +314,29 @@ class TestCli:
         assert "dissipativity" in out
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert all(c["status"] == "pass" for c in report["checks"])
+
+    @pytest.mark.parametrize("doc, failing", [
+        # eps* = 0.01026 at the default parameters
+        ({"grids": {"eps_list": [0.02, 0.005]}}, "step_cap"),
+        ({"grids": {"eps_list": [1.0]}}, "step_cap"),
+        ({"grids": {"eps_list": []}}, "step_cap"),
+        ({"params": {"lam": 6.0}}, "dissipativity"),
+    ])
+    def test_verify_failing_check_exits_1_with_report(self, tmp_path, doc,
+                                                      failing):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        rc = main(["--config", str(cfg_path), "--out", str(tmp_path),
+                   "verify"])
+        assert rc == 1
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        # the failing check is the last one run
+        assert report["checks"][-1]["check"] == failing
+        assert report["checks"][-1]["status"] == "fail"
+        assert all(c["status"] == "pass" for c in report["checks"][:-1])
+
+    def test_dt_ref_is_rejected(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"reference": {"dt_ref": 5e-4}}))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path),
+                     "verify"]) == 2

@@ -227,6 +227,26 @@ class TestTrajectory:
         assert run_trajectory(params, cfg, u0, 5, 16).states == traj.states
 
 
+class TestAbsorbingBallWarning:
+    def test_warns_for_a_start_outside_the_ball(self, params):
+        dc = derived_constants(params)
+        cfg = StepConfig(eps=0.01)
+        outside = LatticeWindow.basis(0, 1.01 * dc.r_star)
+        with pytest.warns(RuntimeWarning, match="outside the absorbing ball"):
+            implicit_step(params, cfg, outside, 16)
+        with pytest.warns(RuntimeWarning, match="outside the absorbing ball"):
+            run_trajectory(params, cfg, outside, 3, 16)
+
+    def test_silent_for_a_start_inside_the_ball(self, params):
+        dc = derived_constants(params)
+        cfg = StepConfig(eps=0.01)
+        inside = LatticeWindow.basis(0, 0.99 * dc.r_star)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            implicit_step(params, cfg, inside, 16)
+            run_trajectory(params, cfg, inside, 3, 16)
+
+
 class TestReferenceFlow:
     def test_time_zero_identity(self, params):
         u0 = LatticeWindow.basis(0, 0.3)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from bhlattice import (
     d_minus_matrix,
     d_plus_m,
     d_plus_matrix,
+    derived_constants,
     implicit_step,
     laplacian_m,
     laplacian_matrix,
@@ -22,6 +25,7 @@ from bhlattice import (
     truncated_trajectory,
     vector_field,
 )
+from bhlattice import _grid
 from bhlattice.truncation import truncated_forcing
 
 
@@ -129,6 +133,58 @@ class TestStepping:
         assert len(states) == 8
         with pytest.raises(ValueError):
             truncated_trajectory(params, StepConfig(eps=0.01), x, -1)
+
+    @pytest.mark.parametrize("method", ["picard", "newton"])
+    def test_trajectory_bitwise_equal_to_single_steps(self, params, method):
+        cfg = StepConfig(eps=0.01, method=method)
+        x = random_state(np.random.default_rng(31), 6, scale=0.3)
+        states = truncated_trajectory(params, cfg, x, 30)
+        for state in states[1:]:
+            x = truncated_step(params, cfg, x)
+            assert x.values.tobytes() == state.values.tobytes()
+
+    def test_field_of_each_solution_carries_over(self, params, monkeypatch):
+        """n Picard steps cost 1 + sum(iterations) field evaluations: only
+        the first step evaluates F at its start state."""
+        evals, iters = [0], []
+        real_field, real_solve = _grid.field, _grid.picard_solve
+
+        def counting_field(*args):
+            evals[0] += 1
+            return real_field(*args)
+
+        def recording_solve(*args):
+            out = real_solve(*args)
+            iters.append(out[2])
+            return out
+
+        monkeypatch.setattr(_grid, "field", counting_field)
+        monkeypatch.setattr(_grid, "picard_solve", recording_solve)
+        n = 25
+        x = TruncatedState(4, 0.2 * np.ones(9))
+        truncated_trajectory(params, StepConfig(eps=0.01), x, n)
+        assert len(iters) == n
+        assert evals[0] == 1 + sum(iters) < sum(i + 1 for i in iters)
+
+
+class TestAbsorbingBallWarning:
+    def test_warns_for_a_start_outside_the_ball(self, params):
+        r_star = derived_constants(params).r_star
+        cfg = StepConfig(eps=0.01)
+        outside = TruncatedState(3, np.full(7, 1.01 * r_star / np.sqrt(7)))
+        with pytest.warns(RuntimeWarning, match="outside the absorbing ball"):
+            truncated_step(params, cfg, outside)
+        with pytest.warns(RuntimeWarning, match="outside the absorbing ball"):
+            truncated_trajectory(params, cfg, outside, 3)
+
+    def test_silent_for_a_start_inside_the_ball(self, params):
+        r_star = derived_constants(params).r_star
+        cfg = StepConfig(eps=0.01)
+        inside = TruncatedState(3, np.full(7, 0.99 * r_star / np.sqrt(7)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            truncated_step(params, cfg, inside)
+            truncated_trajectory(params, cfg, inside, 3)
 
 
 class TestEmbedding:
