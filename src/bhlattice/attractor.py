@@ -91,7 +91,7 @@ def hausdorff_semi(A: PointCloud, B: PointCloud) -> float:
 
 def hausdorff_sym(A: PointCloud, B: PointCloud) -> float:
     _check_same_space(A, B)
-    return max(_semi_arrays(A.points, B.points), _semi_arrays(B.points, A.points))
+    return _sym_arrays(A.points, B.points)
 
 
 def cloud_norm(A: PointCloud) -> float:
@@ -109,6 +109,14 @@ def _check_same_space(A: PointCloud, B: PointCloud):
 def _semi_arrays(a: np.ndarray, b: np.ndarray) -> float:
     dmat = cdist(a, b)
     return float(np.max(np.min(dmat, axis=1)))
+
+
+def _sym_arrays(a: np.ndarray, b: np.ndarray) -> float:
+    # both semi-distances from one matrix: d(a, b) over its rows, d(b, a)
+    # over its columns
+    dmat = cdist(a, b)
+    return float(max(np.max(np.min(dmat, axis=1)),
+                     np.max(np.min(dmat, axis=0))))
 
 
 def embed_cloud(A: PointCloud, half_width: int) -> PointCloud:
@@ -139,7 +147,7 @@ def attractor_approx(advance, cfg: AttractorConfig, ball_radius: float,
     for _ in range(cfg.max_rounds):
         V = advance(U, cfg.stabilization_gap)
         steps += cfg.stabilization_gap
-        dist = max(_semi_arrays(U, V), _semi_arrays(V, U))
+        dist = _sym_arrays(U, V)
         U = V
         if dist <= cfg.stabilization_tol:
             out_meta = {"seed": cfg.seed, "steps_evolved": steps,

@@ -8,24 +8,22 @@ Exit codes: 0 success, 1 a failing ``verify`` check, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
-import numpy as np
-
-from .attractor import AttractorConfig, cloud_norm, cloud_to_json
+from .attractor import cloud_norm, cloud_to_json
 from .errors import (BhLatticeError, ConfigError, DissipativityViolation,
                      NoConvergence, NonFinite, NotStabilized)
-from .experiments import (ExperimentConfig, GridConfig, ReferenceConfig,
-                          ResultTable, _provenance, default_config,
-                          default_params, implicit_attractor, run_bounds,
+from .experiments import (ExperimentConfig, ResultTable, _provenance,
+                          default_config, implicit_attractor, run_bounds,
                           run_dim_convergence, run_eps_convergence,
                           run_error_order, run_noise_convergence, verify,
                           write_table)
-from .lattice import LatticeWindow, Params
+from .lattice import LatticeWindow
 from .stepping import StepConfig, run_trajectory
-from .stochastic import NoiseConfig, ou_path, ou_path_to_json
+from .stochastic import ou_path, ou_path_to_json
 
 
 def load_config(path: str | None, seed: int | None = None) -> ExperimentConfig:
@@ -49,36 +47,25 @@ def load_config(path: str | None, seed: int | None = None) -> ExperimentConfig:
 
 
 def _config_from_dict(doc: dict) -> ExperimentConfig:
+    """Config from a parsed file: each key replaces one default, and an
+    unknown key at any level is a ConfigError."""
     try:
-        pdoc = dict(doc.get("params", {}))
+        doc = dict(doc)
+        pdoc = dict(doc.pop("params", {}))
         if "f" in pdoc:
-            fdoc = pdoc.pop("f")
-            f = LatticeWindow(int(fdoc.get("offset", 0)),
-                             np.array(fdoc.get("values", []), dtype=float))
-        else:
-            f = default_params().f
-        params = Params(
-            nu=float(pdoc.get("nu", 1.0)),
-            alpha=float(pdoc.get("alpha", 1.0)),
-            beta=float(pdoc.get("beta", 1.0)),
-            gamma=float(pdoc.get("gamma", 0.5)),
-            lam=float(pdoc.get("lam", 8.0)),
-            f=f,
-            laplacian_sign=pdoc.get("laplacian_sign", "paper"),
-        )
-        cfg = ExperimentConfig(
-            params=params,
-            grids=GridConfig(**{k: tuple(v) for k, v in
-                                doc.get("grids", {}).items()}),
-            attractor=AttractorConfig(**doc.get("attractor", {})),
-            noise=NoiseConfig(**doc.get("noise", {})),
-            reference=ReferenceConfig(**doc.get("reference", {})),
-        )
-        for key in ("window_half_width", "noise_m", "pullback_points",
-                    "output_dir", "master_seed"):
-            if key in doc:
-                setattr(cfg, key, doc[key])
-        return cfg
+            pdoc["f"] = LatticeWindow(**pdoc["f"])
+        for key in ("nu", "alpha", "beta", "gamma", "lam"):
+            if key in pdoc:
+                pdoc[key] = float(pdoc[key])
+        base = default_config()
+        sub = {name: dataclasses.replace(getattr(base, name),
+                                         **doc.pop(name, {}))
+               for name in ("attractor", "noise", "reference")}
+        grids = dataclasses.replace(base.grids, **{
+            k: tuple(v) for k, v in doc.pop("grids", {}).items()})
+        return dataclasses.replace(
+            base, params=dataclasses.replace(base.params, **pdoc),
+            grids=grids, **sub, **doc)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid configuration: {exc}")
 

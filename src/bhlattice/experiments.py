@@ -21,11 +21,10 @@ from .attractor import (AttractorConfig, PointCloud, attractor_approx,
 from .errors import ConfigError, DissipativityViolation, NonFinite
 from .lattice import (LatticeWindow, Params, derived_constants, l_bound,
                       m_bound)
-from .stepping import (StepConfig, advance_grid, f_on_grid, global_defect,
-                       implicit_step_info, local_defect, params_hash,
-                       reference_flows, step_count)
+from .stepping import (StepConfig, advance_grid, forcing_grid,
+                       global_defect, implicit_step_info, local_defect,
+                       params_hash, reference_flows, step_count)
 from .stochastic import NoiseConfig, absorbing_radius, pullback_batch
-from .truncation import truncated_forcing
 
 # attraction happens on the time scale 1/(lam - lam*); burn-in and gap are
 # fixed multiples of it, converted to step counts per eps
@@ -65,8 +64,11 @@ class ExperimentConfig:
 
     def validate(self):
         dc = derived_constants(self.params)
+        for name in ("eps_list", "m_list", "sigma_list"):
+            if not getattr(self.grids, name):
+                raise ConfigError(f"grids.{name} must not be empty")
         for eps in self.grids.eps_list:
-            if eps > dc.eps_star * (1 + 1e-12):
+            if not dc.allows_step(eps):
                 raise ConfigError(
                     f"eps={eps} exceeds the contraction-safe cap {dc.eps_star}")
         if list(self.grids.m_list) != sorted(self.grids.m_list):
@@ -74,7 +76,7 @@ class ExperimentConfig:
         sig = list(self.grids.sigma_list)
         if sig != sorted(sig, reverse=True):
             raise ConfigError("sigma_list must descend toward zero")
-        if self.grids.eps_list and self.reference.eps_ref >= min(self.grids.eps_list) / 4:
+        if self.reference.eps_ref >= min(self.grids.eps_list) / 4:
             raise ConfigError("eps_ref must be below min(eps_list)/4")
         return dc
 
@@ -86,10 +88,8 @@ def default_params(f_scale: float = 1.0, lam: float = 8.0) -> Params:
 
 
 def default_config(**overrides) -> ExperimentConfig:
-    cfg = ExperimentConfig(params=default_params())
-    for key, val in overrides.items():
-        setattr(cfg, key, val)
-    return cfg
+    return dataclasses.replace(ExperimentConfig(params=default_params()),
+                               **overrides)
 
 
 # -- result tables ----------------------------------------------------------
@@ -192,41 +192,39 @@ def implicit_attractor(p: Params, eps: float, base: AttractorConfig,
                        half_width: int, mode: str = "window",
                        fp_tol: float = 1e-10) -> PointCloud:
     """Attractor cloud of the implicit Euler system at step eps."""
-    dc = derived_constants(p)
-    step_cfg = StepConfig(eps=eps, fp_tol=fp_tol, enforce_eps_star=False)
-    if mode == "truncated":
-        f_grid = truncated_forcing(p, half_width)
-    else:
-        f_grid = f_on_grid(p, half_width)
-    acfg = attractor_config_for_eps(base, eps, p.lam - dc.lambda_star)
+    step_cfg = StepConfig(eps=eps, fp_tol=fp_tol)
 
-    def advance(U, n):
+    def advance(U, n, f_grid):
         return advance_grid(p, step_cfg, U, n, mode, f_grid)
 
-    space = "truncated" if mode == "truncated" else "window"
-    return attractor_approx(advance, acfg, dc.r_star, space, half_width,
-                            meta={"eps": eps, "mode": mode})
+    return _evolved_attractor(p, eps, base, half_width, mode, advance,
+                              {"eps": eps, "mode": mode})
 
 
 def flow_attractor(p: Params, dt: float, base: AttractorConfig,
                    half_width: int, mode: str = "window") -> PointCloud:
     """Attractor cloud of the continuous-time flow via the reference
     integrator with step dt."""
-    dc = derived_constants(p)
-    if mode == "truncated":
-        f_grid = truncated_forcing(p, half_width)
-    else:
-        f_grid = f_on_grid(p, half_width)
-    acfg = attractor_config_for_eps(base, dt, p.lam - dc.lambda_star)
-
-    def advance(U, n):
+    def advance(U, n, f_grid):
         return _grid.require_finite(
             _grid.rk4(lambda _t, Y: _grid.field(p, Y, f_grid, mode),
                       U, 0.0, dt, n))
 
-    space = "truncated" if mode == "truncated" else "window"
-    return attractor_approx(advance, acfg, dc.r_star, space, half_width,
-                            meta={"dt": dt, "mode": mode, "flow": True})
+    return _evolved_attractor(p, dt, base, half_width, mode, advance,
+                              {"dt": dt, "mode": mode, "flow": True})
+
+
+def _evolved_attractor(p: Params, step: float, base: AttractorConfig,
+                       half_width: int, mode: str, advance,
+                       meta: dict) -> PointCloud:
+    """Cloud of the system ``mode`` over the sites |i| <= half_width, evolved
+    from the absorbing ball by ``advance(U, n, f_grid)``, with burn-in and
+    gap scaled to the step."""
+    dc = derived_constants(p)
+    f_grid = forcing_grid(p, half_width, mode)
+    acfg = attractor_config_for_eps(base, step, p.lam - dc.lambda_star)
+    return attractor_approx(lambda U, n: advance(U, n, f_grid), acfg,
+                            dc.r_star, mode, half_width, meta=meta)
 
 
 # -- experiment runners -----------------------------------------------------
@@ -346,14 +344,13 @@ def run_error_order(cfg: ExperimentConfig, T: float = 0.5,
     """
     p = cfg.params.replace(f=LatticeWindow.zero())
     dc = derived_constants(p)
+    eps_list = cfg.grids.eps_error_list
+    if not eps_list:
+        raise ConfigError("grids.eps_error_list must not be empty")
     K = 32
     rng = np.random.default_rng(cfg.master_seed)
-    samples = []
-    for _ in range(n_samples):
-        raw = rng.standard_normal(17)
-        raw *= (0.9 * dc.r_star * rng.random() ** (1 / 17)) / np.linalg.norm(raw)
-        samples.append(LatticeWindow(-8, raw))
-    eps_list = cfg.grids.eps_error_list
+    samples = [_random_window(rng, 8, 0.9 * dc.r_star)
+               for _ in range(n_samples)]
     n_implicit = [step_count(T, eps) for eps in eps_list]
     # one stacked reference run, 100 steps per implicit step, for every
     # (eps, sample) row: its snapshot at time eps is the local reference,
@@ -459,7 +456,7 @@ def verify(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
     # the Picard map contracts, with factor q, only for eps <= eps*
     eps_max = max(cfg.grids.eps_list, default=None)
-    ok = eps_max is not None and eps_max <= dc.eps_star
+    ok = eps_max is not None and dc.allows_step(eps_max)
     record("step_cap", ok, {
         "eps_star": dc.eps_star, "eps_max": eps_max,
         "contraction_factor": None if eps_max is None

@@ -290,6 +290,11 @@ class DerivedConstants:
     r_star: float
     eps_star: float
 
+    def allows_step(self, eps: float) -> bool:
+        """Whether the implicit step eps is within the cap eps*, where the
+        Picard map contracts."""
+        return eps <= self.eps_star
+
 
 def derived_constants(p: Params) -> DerivedConstants:
     """Compute the absorbing radius r* and step cap eps* for p.

@@ -11,8 +11,7 @@ import numpy as np
 
 from . import _grid
 from .errors import StepTooLarge
-from .lattice import (DerivedConstants, LatticeWindow, Params,
-                      derived_constants)
+from .lattice import LatticeWindow, Params, derived_constants
 
 DEFAULT_HALF_WIDTH = 128
 # tail mass silently lost to window clamping before a warning is emitted
@@ -59,7 +58,12 @@ def params_hash(p: Params) -> str:
     return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
 
-def f_on_grid(p: Params, half_width: int) -> np.ndarray:
+def forcing_grid(p: Params, half_width: int, mode: str) -> np.ndarray:
+    """The forcing on the sites |i| <= half_width of the system ``mode``:
+    all of f on a window, which must hold it, and f clipped to |i| <= m on
+    the truncated system."""
+    if mode == "truncated":
+        return p.f.clip_to_grid(half_width)
     return p.f.to_grid(half_width)
 
 
@@ -76,37 +80,42 @@ def _to_grid_clamped(u: LatticeWindow, half_width: int) -> np.ndarray:
     return u.to_grid(half_width)
 
 
-def _check_step(dc: DerivedConstants, cfg: StepConfig, norm: float):
-    """Refuse a step above eps* (unless cfg allows it) and warn when the
-    state, of l^2 norm ``norm``, starts outside the absorbing ball."""
-    if cfg.enforce_eps_star and cfg.eps > dc.eps_star:
+def implicit_steps(p: Params, cfg: StepConfig, y: np.ndarray, n_steps: int,
+                   mode: str, f_grid: np.ndarray):
+    """Yield (y, StepInfo) for each of n_steps implicit Euler steps
+    y_next = y + eps*F(y_next) of the single state grid y, with the boundary
+    closure ``mode``.
+
+    Refuses eps above eps* (unless cfg allows it), and warns for each step
+    that starts outside the absorbing ball.  Each Picard solve starts from
+    the last step's solution, whose F(y) it already knows.  The residual in
+    StepInfo is the exact defect of y.
+    """
+    if n_steps < 0:
+        raise ValueError("n_steps must be nonnegative")
+    if not n_steps:
+        return
+    dc = derived_constants(p)
+    if cfg.enforce_eps_star and not dc.allows_step(cfg.eps):
         raise StepTooLarge(
             f"eps={cfg.eps} exceeds the contraction-safe cap {dc.eps_star}")
-    if norm > dc.r_star * (1.0 + 1e-12):
-        warnings.warn(
-            "initial state lies outside the absorbing ball; the contraction "
-            "guarantees do not apply", RuntimeWarning)
 
+    def field(U):
+        return _grid.field(p, U, f_grid, mode)
 
-def grid_step(p: Params, cfg: StepConfig, grid: np.ndarray,
-              f_grid: np.ndarray, mode: str,
-              F_prev: np.ndarray | None = None):
-    """One implicit Euler step y = grid + eps*F(y) of a single state grid,
-    with the boundary closure ``mode``; the caller runs ``_check_step``.
-
-    F_prev, if given, is F at grid and saves the Picard solve one
-    evaluation.  Returns (y, StepInfo, F(y)), with None in place of F(y)
-    for the Newton solve.  The residual in StepInfo is the exact defect of
-    y.
-    """
-    if cfg.method == "newton":
-        y, resid, iters = _grid.newton_solve(
-            p, grid, cfg.eps, f_grid, mode, cfg.fp_tol, cfg.max_iter)
-        return y, StepInfo(resid, iters), None
-    y, resid, iters, Fy = _grid.picard_solve(
-        lambda U: _grid.field(p, U, f_grid, mode),
-        grid, cfg.eps, cfg.fp_tol, cfg.max_iter, F_prev)
-    return y, StepInfo(resid, iters), Fy
+    F = None
+    for _ in range(n_steps):
+        if np.linalg.norm(y) > dc.r_star * (1.0 + 1e-12):
+            warnings.warn(
+                "initial state lies outside the absorbing ball; the "
+                "contraction guarantees do not apply", RuntimeWarning)
+        if cfg.method == "newton":
+            y, resid, iters = _grid.newton_solve(
+                p, y, cfg.eps, f_grid, mode, cfg.fp_tol, cfg.max_iter)
+        else:
+            y, resid, iters, F = _grid.picard_solve(
+                field, y, cfg.eps, cfg.fp_tol, cfg.max_iter, F)
+        yield y, StepInfo(resid, iters)
 
 
 def implicit_step_info(p: Params, cfg: StepConfig, u_prev: LatticeWindow,
@@ -116,9 +125,9 @@ def implicit_step_info(p: Params, cfg: StepConfig, u_prev: LatticeWindow,
     Returns (u_next, StepInfo).  The residual in StepInfo is the exact
     defect of the returned state.
     """
-    _check_step(derived_constants(p), cfg, u_prev.norm())
-    y, info, _ = grid_step(p, cfg, _to_grid_clamped(u_prev, half_width),
-                           f_on_grid(p, half_width), "window")
+    (y, info), = implicit_steps(
+        p, cfg, _to_grid_clamped(u_prev, half_width), 1, "window",
+        forcing_grid(p, half_width, "window"))
     return LatticeWindow.from_grid(y, half_width), info
 
 
@@ -130,19 +139,11 @@ def implicit_step(p: Params, cfg: StepConfig, u_prev: LatticeWindow,
 def run_trajectory(p: Params, cfg: StepConfig, u0: LatticeWindow,
                    n_steps: int, half_width: int = DEFAULT_HALF_WIDTH) -> Trajectory:
     """Iterate the implicit step; returns the full state sequence u_0..u_N."""
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
-    states = [u0]
-    if n_steps:
-        dc = derived_constants(p)
-        f_grid = f_on_grid(p, half_width)
-        # the state stays a grid between steps, and each step starts from
-        # the last step's solution, whose F(y) is known
-        y, F = _to_grid_clamped(u0, half_width), None
-        for _ in range(n_steps):
-            _check_step(dc, cfg, float(np.linalg.norm(y)))
-            y, _, F = grid_step(p, cfg, y, f_grid, "window", F)
-            states.append(LatticeWindow.from_grid(y, half_width))
+    # the state stays a grid between steps; only the returned states
+    # become windows
+    steps = implicit_steps(p, cfg, _to_grid_clamped(u0, half_width), n_steps,
+                           "window", forcing_grid(p, half_width, "window"))
+    states = [u0] + [LatticeWindow.from_grid(y, half_width) for y, _ in steps]
     return Trajectory(tuple(states), cfg.eps, params_hash(p))
 
 
@@ -191,7 +192,7 @@ def reference_flows(p: Params, Y: np.ndarray, dts, stops,
         raise ValueError("dt_ref must be positive")
     if np.any(stops < 0):
         raise ValueError("step counts must be nonnegative")
-    f_grid = f_on_grid(p, half_width)
+    f_grid = forcing_grid(p, half_width, "window")
     out = np.empty(stops.shape + Y.shape[1:])
     live = np.arange(len(Y))
     U, done = Y, 0
@@ -236,9 +237,9 @@ def global_defect(p: Params, eps: float, y: LatticeWindow, n_steps: int,
                   fp_tol: float = 1e-12) -> float:
     """||u_exact - u^eps_n(y)|| after n_steps implicit steps from y, with
     u_exact the reference flow from y at time n_steps*eps."""
-    cfg = StepConfig(eps=eps, fp_tol=fp_tol, enforce_eps_star=False)
+    cfg = StepConfig(eps=eps, fp_tol=fp_tol)
     grid = advance_grid(p, cfg, _to_grid_clamped(y, half_width), n_steps,
-                        "window", f_on_grid(p, half_width))
+                        "window", forcing_grid(p, half_width, "window"))
     return float(np.linalg.norm(u_exact.to_grid(half_width) - grid))
 
 

@@ -9,8 +9,8 @@ pullback horizon leaves the realized noise near time zero unchanged.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-import math
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import _grid
 from .attractor import PointCloud
 from .errors import HorizonTooShort
 from .lattice import LatticeWindow, Params, derived_constants
-from .truncation import truncated_forcing
+from .stepping import forcing_grid
 
 OU_SCHEMA_VERSION = 1
 
@@ -56,73 +56,37 @@ class OUPath:
         object.__setattr__(self, "z", arr)
         self.z.setflags(write=False)
 
-    @property
+    @functools.cached_property
     def grid(self) -> np.ndarray:
         # anchored at t_max so that t = 0 is always an exact node
         n = self.z.size
-        return self.t_max - self.h_path * (n - 1 - np.arange(n))
+        grid = self.t_max - self.h_path * (n - 1 - np.arange(n))
+        grid.setflags(write=False)
+        return grid
 
     def at(self, t: float) -> float:
         """Linear interpolation between grid nodes, as np.interp(t,
         self.grid, self.z)."""
-        return float(_interp(self, t))
+        return float(_interp(self.grid, self.z, t))
 
 
-def _interp(path, t: float):
-    """np.interp(t, grid, z) along the first axis of the path's values z,
-    without building the grid.
+def _interp(grid: np.ndarray, z: np.ndarray, t: float):
+    """np.interp(t, grid, z) along the first axis of z, one scalar t.
 
-    Node k lies at t_max - h_path*(last - k); the interval and the
-    arithmetic are those np.interp uses.  ``path`` is an OUPath (z of shape
-    (nodes,)) or an OUPathStack (z of shape (nodes, R)); for a stack, one
-    cell lookup serves all R paths and each gets the value it would get
-    alone.
+    z may hold several paths on one grid as columns, (nodes, R); one cell
+    lookup then serves all of them, and each gets the value it would get
+    alone.  The interval and the arithmetic are those np.interp uses.
     """
-    slack = 1e-9 * max(1.0, abs(path.t_min))
-    if t < path.t_min - slack or t > path.t_max + slack:
+    slack = 1e-9 * max(1.0, abs(grid[0]))
+    if t < grid[0] - slack or t > grid[-1] + slack:
         raise ValueError("time outside the path horizon")
-    z, h, t_max = path.z, path.h_path, path.t_max
-    last = z.shape[0] - 1
-    if t >= t_max:
-        return z[last]
-    # the rounded cell index can be one off from the node left of t
-    k = min(max(last - math.ceil((t_max - t) / h), 0), last - 1)
-    while k > 0 and t < t_max - h * (last - k):
-        k -= 1
-    while k < last - 1 and t >= t_max - h * (last - k - 1):
-        k += 1
-    x0 = t_max - h * (last - k)
-    z0 = z[k]
-    if t <= x0:  # on node k, or left of the first node
-        return z0
-    x1 = t_max - h * (last - k - 1)
-    return (z[k + 1] - z0) / (x1 - x0) * (t - x0) + z0
-
-
-@dataclasses.dataclass(frozen=True)
-class OUPathStack:
-    """Paths on one common grid, interpolated together: z[:, r] holds path
-    r, and ``at`` returns every path's value with one cell lookup."""
-
-    t_min: float
-    t_max: float
-    h_path: float
-    z: np.ndarray
-
-    @classmethod
-    def of(cls, paths) -> "OUPathStack":
-        first = paths[0]
-        for path in paths:
-            if (path.t_min, path.t_max, path.h_path, path.z.size) != (
-                    first.t_min, first.t_max, first.h_path, first.z.size):
-                raise ValueError("stacked paths must share one grid")
-        z = np.stack([path.z for path in paths], axis=1)
-        z.setflags(write=False)
-        return cls(first.t_min, first.t_max, first.h_path, z)
-
-    def at(self, t: float) -> np.ndarray:
-        """Every path's OUPath.at(t), as an array."""
-        return _interp(self, t)
+    k = int(np.searchsorted(grid, t, side="right")) - 1
+    if k >= len(grid) - 1:
+        return z[-1]
+    if k < 0 or t == grid[k]:  # left of the first node, or on node k
+        return z[max(k, 0)]
+    x0, x1 = grid[k], grid[k + 1]
+    return (z[k + 1] - z[k]) / (x1 - x0) * (t - x0) + z[k]
 
 
 def ou_path(seed: int, t_min: float, t_max: float, h: float) -> OUPath:
@@ -235,18 +199,18 @@ def pullback_batch(p: Params, noise: NoiseConfig, sigmas, realizations,
     horizon = max(noise.pullback_T, path_horizon)
     paths = tuple(ou_path(realization_seed(noise.master_seed, k), -horizon,
                           0.0, noise.h_path) for k in realizations)
-    stack = OUPathStack.of(paths)
+    # every path spans the same horizon, so the first one's grid serves all,
+    # with path r as column r of z
+    grid = paths[0].grid
+    z = np.stack([path.z for path in paths], axis=1)
     mode = initial_cloud.space
-    if mode == "truncated":
-        f_grid = truncated_forcing(p, initial_cloud.half_width)
-    else:
-        f_grid = p.f.to_grid(initial_cloud.half_width)
+    f_grid = forcing_grid(p, initial_cloud.half_width, mode)
     # (S, 1, 1) against z of shape (R, 1): one noise value per (S, R) cloud
     sig = np.asarray(sigmas, dtype=float)[:, None, None]
 
     def rhs(t, U):
-        return _grid.random_field(p, sig, stack.at(t)[:, None], U, f_grid,
-                                  mode)
+        return _grid.random_field(p, sig, _interp(grid, z, t)[:, None], U,
+                                  f_grid, mode)
 
     U0 = np.broadcast_to(initial_cloud.points,
                          (sig.shape[0], len(paths)) + initial_cloud.points.shape)

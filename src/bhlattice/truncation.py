@@ -8,8 +8,8 @@ import dataclasses
 import numpy as np
 
 from . import _grid
-from .lattice import LatticeWindow, Params, derived_constants
-from .stepping import StepConfig, _check_step, grid_step
+from .lattice import LatticeWindow, Params
+from .stepping import StepConfig, forcing_grid, implicit_steps
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,7 +84,7 @@ def laplacian_m(x: TruncatedState) -> TruncatedState:
 
 def truncated_forcing(p: Params, m: int) -> np.ndarray:
     """f^m: the forcing restricted to the sites |i| <= m (no renormalization)."""
-    return p.f.clip_to_grid(m)
+    return forcing_grid(p, m, "truncated")
 
 
 def truncated_field(p: Params, x: TruncatedState) -> TruncatedState:
@@ -96,9 +96,8 @@ def truncated_field(p: Params, x: TruncatedState) -> TruncatedState:
 def truncated_step_info(p: Params, cfg: StepConfig, x_prev: TruncatedState):
     """One implicit Euler step of the truncated system, same contraction
     solve as the infinite system but over R^(2m+1)."""
-    _check_step(derived_constants(p), cfg, x_prev.norm())
-    y, info, _ = grid_step(p, cfg, x_prev.values,
-                           truncated_forcing(p, x_prev.m), "truncated")
+    (y, info), = implicit_steps(p, cfg, x_prev.values, 1, "truncated",
+                                truncated_forcing(p, x_prev.m))
     return TruncatedState(x_prev.m, y), info
 
 
@@ -108,19 +107,9 @@ def truncated_step(p: Params, cfg: StepConfig, x_prev: TruncatedState) -> Trunca
 
 def truncated_trajectory(p: Params, cfg: StepConfig, x0: TruncatedState,
                          n: int) -> list:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    states = [x0]
-    if n:
-        dc = derived_constants(p)
-        f_m = truncated_forcing(p, x0.m)
-        # each step starts from the last step's solution, whose F(y) is known
-        y, F = x0.values, None
-        for _ in range(n):
-            _check_step(dc, cfg, float(np.linalg.norm(y)))
-            y, _, F = grid_step(p, cfg, y, f_m, "truncated", F)
-            states.append(TruncatedState(x0.m, y))
-    return states
+    steps = implicit_steps(p, cfg, x0.values, n, "truncated",
+                           truncated_forcing(p, x0.m))
+    return [x0] + [TruncatedState(x0.m, y) for y, _ in steps]
 
 
 def null_expansion(x: TruncatedState) -> LatticeWindow:

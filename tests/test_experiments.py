@@ -13,10 +13,13 @@ from bhlattice import (
     NoiseConfig,
     NonFinite,
     ResultTable,
+    StepConfig,
+    StepTooLarge,
     default_config,
     default_params,
     derived_constants,
     global_error,
+    implicit_step_info,
     l_bound,
     local_error,
     m_bound,
@@ -25,6 +28,7 @@ from bhlattice import (
     verify,
     write_table,
 )
+from bhlattice import _grid
 from bhlattice.cli import load_config, main
 from bhlattice.experiments import (
     attractor_config_for_eps,
@@ -340,3 +344,78 @@ class TestCli:
         cfg_path.write_text(json.dumps({"reference": {"dt_ref": 5e-4}}))
         assert main(["--config", str(cfg_path), "--out", str(tmp_path),
                      "verify"]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"params": {"lamda": 9}},
+        {"windw_half_width": 32},
+        {"params": {"f": {"ofset": 1, "values": [1.0]}}},
+    ])
+    def test_unknown_key_exits_2(self, tmp_path, doc):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path),
+                     "simulate", "--steps", "1"]) == 2
+
+    def test_file_keys_replace_defaults(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "params": {"lam": 9, "f": {"offset": 1, "values": [2]}},
+            "grids": {"m_list": [4, 8]}, "noise": {"sigma": 0.2},
+            "window_half_width": 32}))
+        cfg = load_config(str(cfg_path))
+        assert cfg.params == default_params(lam=9.0).replace(
+            f=LatticeWindow.basis(1, 2.0))
+        assert cfg.grids == GridConfig(m_list=(4, 8))
+        assert cfg.noise == NoiseConfig(sigma=0.2)
+        assert cfg.window_half_width == 32
+        # an int coefficient hashes as the float it is converted to
+        cfg_path.write_text(json.dumps({"params": {"lam": 8}}))
+        assert config_hash(load_config(str(cfg_path))) == \
+            config_hash(default_config())
+
+    @pytest.mark.parametrize("command, grids", [
+        ("converge-dim", {"eps_list": []}),
+        ("converge-dim", {"m_list": []}),
+        ("error-order", {"eps_error_list": []}),
+        ("converge-noise", {"sigma_list": []}),
+        ("converge-eps", {"eps_list": []}),
+    ])
+    def test_empty_grid_exits_2_before_any_integration(self, tmp_path,
+                                                       monkeypatch, command,
+                                                       grids):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated an empty study")
+
+        monkeypatch.setattr(_grid, "rk4", refuse)
+        monkeypatch.setattr(_grid, "picard_solve", refuse)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grids": grids}))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path),
+                     command]) == 2
+        assert not (tmp_path / f"{command}.csv").exists()
+
+
+class TestStepCap:
+    """validate, verify's step_cap and the solver share one eps <= eps*."""
+
+    @pytest.mark.parametrize("factor, allowed", [
+        (1.0, True), (1.0 + 5e-13, False)])
+    def test_all_three_agree(self, factor, allowed):
+        cfg = default_config()
+        dc = derived_constants(cfg.params)
+        eps = dc.eps_star * factor
+        assert (eps <= dc.eps_star) == allowed
+        cfg.grids = GridConfig(eps_list=(eps,))
+        cfg.reference.eps_ref = eps / 5
+        step_cfg = StepConfig(eps=eps)
+        u0 = LatticeWindow.basis(0, 0.5)
+        if allowed:
+            cfg.validate()
+            implicit_step_info(cfg.params, step_cfg, u0, 16)
+        else:
+            with pytest.raises(ConfigError):
+                cfg.validate()
+            with pytest.raises(StepTooLarge):
+                implicit_step_info(cfg.params, step_cfg, u0, 16)
+        checks = {c["check"]: c["status"] for c in verify(cfg)[1]["checks"]}
+        assert checks["step_cap"] == ("pass" if allowed else "fail")

@@ -21,7 +21,7 @@ from bhlattice import (
     vector_field,
 )
 from bhlattice.stochastic import (
-    OUPathStack,
+    _interp,
     ou_decay,
     ou_innovation_std,
     realization_seed,
@@ -260,19 +260,21 @@ class TestPullbackBatch:
         seeds = [realization_seed(2024, k) for k in range(4)]
         long = [ou_path(s, -12.0, 0.0, 0.01) for s in seeds]
         short = [ou_path(s, -self.T, 0.0, 0.01) for s in seeds]
-        stack = OUPathStack.of(long)
+        # the paths as columns on one grid, as pullback_batch stacks them
+        grid = long[0].grid
+        z = np.stack([path.z for path in long], axis=1)
         n_steps = int(round(self.T / self.DT))
         dt = self.T / n_steps
         t = -self.T
         # the stage times of the RK4 loop, with its accumulated rounding
         for _ in range(n_steps):
             for ts in (t, t + 0.5 * dt, t + dt):
-                got = stack.at(ts)
+                got = _interp(grid, z, ts)
                 for r in range(len(seeds)):
                     assert got[r] == long[r].at(ts) == short[r].at(ts)
             t += dt
         with pytest.raises(ValueError):
-            stack.at(0.5)
+            _interp(grid, z, 0.5)
 
     def test_horizon_shorter_than_half_a_step_is_a_value_error(self, params):
         noise = NoiseConfig(sigma=0.1, h_path=0.001, pullback_T=0.004)
@@ -281,8 +283,3 @@ class TestPullbackBatch:
             pullback_batch(params, noise, (0.1,), range(2), 0.01, init)
         with pytest.raises(ValueError, match="pullback_T=0.004.*dt=0.01"):
             pullback_sample(params, noise, 0, 0.01, init)
-
-    def test_stack_needs_one_grid(self):
-        with pytest.raises(ValueError):
-            OUPathStack.of([ou_path(1, -2.0, 0.0, 0.01),
-                            ou_path(2, -3.0, 0.0, 0.01)])
