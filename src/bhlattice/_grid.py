@@ -15,6 +15,7 @@ Two boundary closures exist:
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import NoConvergence, NonFinite
 
@@ -128,21 +129,20 @@ def picard_solve(field_fn, u_prev: np.ndarray, eps: float, tol: float,
 
 
 def field_jacobian(p, U: np.ndarray, mode: str) -> np.ndarray:
-    """Dense Jacobian of the vector field at a single state U (1-D)."""
-    n = U.shape[-1]
-    lap_mat = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
-               - np.diag(np.ones(n - 1), -1))
-    if mode == "truncated":
-        lap_mat[-1, -1] = 1.0
-    if p.laplacian_sign == "continuum":
-        lap_mat = -lap_mat
-    dm_mat = -np.eye(n) + np.diag(np.ones(n - 1), -1)
-    jac = p.nu * lap_mat
-    jac -= p.alpha * (np.diag(dm_mat @ U) + np.diag(U) @ dm_mat)
+    """Tridiagonal Jacobian of the vector field at a single state U (1-D),
+    as the (3, n) bands of ``scipy.linalg.solve_banded``: row 0 the
+    superdiagonal (from column 1), row 1 the diagonal, row 2 the
+    subdiagonal (to column n-2)."""
+    nu = -p.nu if p.laplacian_sign == "continuum" else p.nu
     reac = -3.0 * U**2 + 2.0 * (1.0 + p.gamma) * U - p.gamma
-    jac += p.beta * np.diag(reac)
-    jac -= p.lam * np.eye(n)
-    return jac
+    bands = np.zeros((3, U.size))
+    bands[0, 1:] = -nu
+    bands[1] = 2.0 * nu - p.alpha * (d_minus(U) - U) + p.beta * reac - p.lam
+    bands[2, :-1] = -nu - p.alpha * U[1:]
+    if mode == "truncated":
+        # the Dirichlet corner row of d_plus(d_minus) has diagonal 1, not 2
+        bands[1, -1] -= nu
+    return bands
 
 
 def newton_solve(p, u_prev: np.ndarray, eps: float, f_grid: np.ndarray,
@@ -160,8 +160,10 @@ def newton_solve(p, u_prev: np.ndarray, eps: float, f_grid: np.ndarray,
             raise NonFinite("Newton iterate overflowed")
         if resid <= tol:
             return y, resid, it
-        jac = np.eye(y.size) - eps * field_jacobian(p, y, mode)
-        y = y - np.linalg.solve(jac, res_vec)
+        # bands of I - eps*J
+        bands = -eps * field_jacobian(p, y, mode)
+        bands[1] += 1.0
+        y = y - solve_banded((1, 1), bands, res_vec)
     raise NoConvergence(max_iter, resid)
 
 

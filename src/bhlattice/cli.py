@@ -42,7 +42,10 @@ def load_config(path: str | None, seed: int | None = None) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file: {exc}")
         cfg = _config_from_dict(doc or {})
     if seed is not None:
-        cfg.master_seed = seed
+        try:
+            cfg = dataclasses.replace(cfg, master_seed=seed)
+        except ValueError as exc:
+            raise ConfigError(f"invalid configuration: {exc}")
     return cfg
 
 
@@ -70,10 +73,30 @@ def _config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"invalid configuration: {exc}")
 
 
+# study subcommands: name -> (runner, help); each writes its one table
+STUDIES = {
+    "converge-eps": (run_eps_convergence, "time-step convergence study"),
+    "converge-dim": (run_dim_convergence, "truncation-dimension study"),
+    "converge-noise": (run_noise_convergence,
+                       "noise-intensity pullback study"),
+    "error-order": (run_error_order, "discretization error orders"),
+    "bounds": (run_bounds, "attractor norm bound sweep"),
+}
+
+
 def _emit(table: ResultTable, out_dir: str, fmt: str):
     paths = write_table(table, out_dir, fmt)
     for p in paths:
         print(p)
+
+
+def _write(out_dir: str, name: str, text: str):
+    """Write text to out_dir/name, making the directory, and print the path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w") as fh:
+        fh.write(text)
+    print(path)
 
 
 def main(argv=None) -> int:
@@ -96,11 +119,8 @@ def main(argv=None) -> int:
     sp = sub.add_parser("attractor", help="approximate one attractor cloud")
     sp.add_argument("--eps", type=float, default=0.005)
 
-    sub.add_parser("converge-eps", help="time-step convergence study")
-    sub.add_parser("converge-dim", help="truncation-dimension study")
-    sub.add_parser("converge-noise", help="noise-intensity pullback study")
-    sub.add_parser("error-order", help="discretization error orders")
-    sub.add_parser("bounds", help="attractor norm bound sweep")
+    for name, (_, help_text) in STUDIES.items():
+        sub.add_parser(name, help=help_text)
 
     sp = sub.add_parser("ou-path", help="sample one noise path")
     sp.add_argument("--horizon", type=float, default=100.0)
@@ -143,46 +163,23 @@ def _dispatch(args, cfg: ExperimentConfig) -> int:
     if cmd == "attractor":
         cloud = implicit_attractor(cfg.params, args.eps, cfg.attractor,
                                    cfg.window_half_width)
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        tag = f"eps{args.eps:g}"
-        path = os.path.join(cfg.output_dir, f"cloud_{tag}.json")
-        with open(path, "w") as fh:
-            fh.write(cloud_to_json(cloud))
-        print(path)
+        _write(cfg.output_dir, f"cloud_eps{args.eps:g}.json",
+               cloud_to_json(cloud))
         print(f"cloud norm: {cloud_norm(cloud):.6e}")
         return 0
-    if cmd == "converge-eps":
-        _emit(run_eps_convergence(cfg), cfg.output_dir, args.format)
-        return 0
-    if cmd == "converge-dim":
-        _emit(run_dim_convergence(cfg), cfg.output_dir, args.format)
-        return 0
-    if cmd == "converge-noise":
-        _emit(run_noise_convergence(cfg), cfg.output_dir, args.format)
-        return 0
-    if cmd == "error-order":
-        _emit(run_error_order(cfg), cfg.output_dir, args.format)
-        return 0
-    if cmd == "bounds":
-        _emit(run_bounds(cfg), cfg.output_dir, args.format)
+    if cmd in STUDIES:
+        _emit(STUDIES[cmd][0](cfg), cfg.output_dir, args.format)
         return 0
     if cmd == "ou-path":
         path = ou_path(cfg.master_seed, -args.horizon, 0.0, args.h)
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        out = os.path.join(cfg.output_dir, "ou_path.json")
-        with open(out, "w") as fh:
-            fh.write(ou_path_to_json(path))
-        print(out)
+        _write(cfg.output_dir, "ou_path.json", ou_path_to_json(path))
         return 0
     if cmd == "verify":
         ok, report = verify(cfg)
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        out = os.path.join(cfg.output_dir, "verify_report.json")
-        with open(out, "w") as fh:
-            fh.write(json.dumps(report, indent=2))
         for check in report["checks"]:
             print(f"{check['status']:4s}  {check['check']}")
-        print(out)
+        _write(cfg.output_dir, "verify_report.json",
+               json.dumps(report, indent=2))
         return 0 if ok else 1
     raise ConfigError(f"unknown command {cmd!r}")
 

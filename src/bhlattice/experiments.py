@@ -10,6 +10,7 @@ import datetime
 import hashlib
 import json
 import math
+import numbers
 import os
 
 import numpy as np
@@ -21,9 +22,9 @@ from .attractor import (AttractorConfig, PointCloud, attractor_approx,
 from .errors import ConfigError, DissipativityViolation, NonFinite
 from .lattice import (LatticeWindow, Params, derived_constants, l_bound,
                       m_bound)
-from .stepping import (StepConfig, advance_grid, forcing_grid,
-                       global_defect, implicit_step_info, local_defect,
-                       params_hash, reference_flows, step_count)
+from .stepping import (StepConfig, advance_grid, defect, forcing_grid,
+                       implicit_step_info, params_hash, reference_flows,
+                       step_count)
 from .stochastic import NoiseConfig, absorbing_radius, pullback_batch
 
 # attraction happens on the time scale 1/(lam - lam*); burn-in and gap are
@@ -36,12 +37,32 @@ STABILIZATION_GAP_TIME = 2.0
 TREND_REL_SLACK = 0.10
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclasses.dataclass
 class GridConfig:
     eps_list: tuple = (0.01, 0.005, 0.0025)
     eps_error_list: tuple = (0.02, 0.01, 0.005, 0.0025)
     m_list: tuple = (8, 16, 32)
     sigma_list: tuple = (0.4, 0.2, 0.1, 0.05, 0.0)
+
+    def __post_init__(self):
+        # an empty list is left to validate and verify, which report it
+        positive = ("positive numbers", lambda x: _is_real(x) and x > 0)
+        rules = {"eps_list": positive, "eps_error_list": positive,
+                 "m_list": ("positive integers",
+                            lambda x: _is_int(x) and x >= 1),
+                 "sigma_list": ("nonnegative numbers",
+                                lambda x: _is_real(x) and x >= 0)}
+        for name, (kind, ok) in rules.items():
+            if not all(ok(x) for x in getattr(self, name)):
+                raise ValueError(f"grids.{name} must hold {kind}")
 
 
 @dataclasses.dataclass
@@ -61,6 +82,16 @@ class ExperimentConfig:
     pullback_points: int = 16
     output_dir: str = "out"
     master_seed: int = 2024
+
+    def __post_init__(self):
+        for name in ("window_half_width", "noise_m", "pullback_points"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be a positive integer")
+        if not _is_int(self.master_seed) or self.master_seed < 0:
+            raise ValueError("master_seed must be a nonnegative integer")
+        if not isinstance(self.output_dir, str):
+            raise ValueError("output_dir must be a string")
 
     def validate(self):
         dc = derived_constants(self.params)
@@ -252,7 +283,7 @@ def run_eps_convergence(cfg: ExperimentConfig) -> ResultTable:
 def run_dim_convergence(cfg: ExperimentConfig) -> ResultTable:
     """Distances from null-expanded truncated attractors to the wide-window
     attractor as the truncation dimension grows."""
-    dc = cfg.validate()
+    cfg.validate()
     K = cfg.window_half_width
     if max(cfg.grids.m_list) >= K:
         raise ConfigError("m_list must stay below the window half-width")
@@ -349,7 +380,7 @@ def run_error_order(cfg: ExperimentConfig, T: float = 0.5,
         raise ConfigError("grids.eps_error_list must not be empty")
     K = 32
     rng = np.random.default_rng(cfg.master_seed)
-    samples = [_random_window(rng, 8, 0.9 * dc.r_star)
+    samples = [_random_window(rng, 8, 0.9 * dc.r_star).to_grid(K)
                for _ in range(n_samples)]
     n_implicit = [step_count(T, eps) for eps in eps_list]
     # one stacked reference run, 100 steps per implicit step, for every
@@ -357,7 +388,7 @@ def run_error_order(cfg: ExperimentConfig, T: float = 0.5,
     # the one at time T the global reference
     dt_ref = [eps / 100.0 for eps in eps_list]
     stops = [[100, 100 * n] for n in n_implicit for _ in samples]
-    ref = reference_flows(p, [y.to_grid(K) for _ in eps_list for y in samples],
+    ref = reference_flows(p, samples * len(eps_list),
                           np.repeat(dt_ref, n_samples), stops, K)
     Lr = l_bound(p, dc.r_star)
     Mr = m_bound(p, dc.r_star)
@@ -367,11 +398,9 @@ def run_error_order(cfg: ExperimentConfig, T: float = 0.5,
     for eps, n, ref_eps in zip(eps_list, n_implicit,
                                ref.reshape(len(eps_list), n_samples, 2, -1)):
         locs, globs = [], []
-        for y, (at_eps, at_T) in zip(samples, ref_eps):
-            u_eps = LatticeWindow.from_grid(at_eps, K)
-            u_T = LatticeWindow.from_grid(at_T, K)
-            locs.append(local_defect(p, eps, y, u_eps, K))
-            globs.append(global_defect(p, eps, y, n, u_T, K))
+        for Y, (at_eps, at_T) in zip(samples, ref_eps):
+            locs.append(defect(p, eps, Y, 1, at_eps))
+            globs.append(defect(p, eps, Y, n, at_T))
         rows["eps"].append(eps)
         rows["local_max"].append(max(locs))
         rows["global_max"].append(max(globs))

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from . import _grid
 from .errors import DissipativityViolation
 
 
@@ -172,32 +173,14 @@ def norm_lp(u: LatticeWindow, p: int = 2) -> float:
 # -- difference operators --------------------------------------------------
 
 
-def _padded(u: LatticeWindow) -> tuple[int, np.ndarray]:
-    """Values of u on [lo-1, hi+1] so all stencil reads are in range."""
-    lo, hi = u.support
-    if u.values.size == 0:
-        return 0, np.zeros(3)
-    ext = np.zeros(u.values.size + 2)
-    ext[1:-1] = u.values
-    return lo - 1, ext
-
-
 def d_plus(u: LatticeWindow) -> LatticeWindow:
     """(D+ u)_i = u_{i+1} - u_i.  Support grows by at most one index."""
-    off, ext = _padded(u)
-    out = np.empty_like(ext)
-    out[:-1] = ext[1:] - ext[:-1]
-    out[-1] = -ext[-1]
-    return LatticeWindow(off, out)
+    return LatticeWindow(u.support[0] - 1, _grid.d_plus(np.pad(u.values, 1)))
 
 
 def d_minus(u: LatticeWindow) -> LatticeWindow:
     """(D- u)_i = u_{i-1} - u_i.  Support grows by at most one index."""
-    off, ext = _padded(u)
-    out = np.empty_like(ext)
-    out[1:] = ext[:-1] - ext[1:]
-    out[0] = -ext[0]
-    return LatticeWindow(off, out)
+    return LatticeWindow(u.support[0] - 1, _grid.d_minus(np.pad(u.values, 1)))
 
 
 def laplacian(u: LatticeWindow) -> LatticeWindow:
@@ -206,12 +189,9 @@ def laplacian(u: LatticeWindow) -> LatticeWindow:
     Note this orientation is the negative of the continuum second difference;
     see ``Params.laplacian_sign`` for how the vector field consumes it.
     """
-    off, ext = _padded(u)
-    out = np.empty_like(ext)
-    out[1:-1] = -ext[:-2] + 2.0 * ext[1:-1] - ext[2:]
-    out[0] = 2.0 * ext[0] - ext[1]
-    out[-1] = -ext[-2] + 2.0 * ext[-1]
-    return LatticeWindow(off, out)
+    ext = np.pad(u.values, 2)
+    return LatticeWindow(u.support[0] - 1,
+                         -ext[:-2] + 2.0 * ext[1:-1] - ext[2:])
 
 
 # -- model parameters and constants ----------------------------------------
@@ -319,46 +299,39 @@ def derived_constants(p: Params) -> DerivedConstants:
 # -- vector field ----------------------------------------------------------
 
 
+def window_field(p: Params, u: LatticeWindow, kernel) -> LatticeWindow:
+    """``kernel(U, f_grid)`` as a window: U and f_grid on a grid one site
+    wider than the supports of u and f, so the stencil loses nothing."""
+    lo, hi = u.support
+    flo, fhi = p.f.support
+    half = max(abs(lo), abs(hi), abs(flo), abs(fhi), 1) + 1
+    return LatticeWindow.from_grid(kernel(u.to_grid(half), p.f.to_grid(half)),
+                                   half)
+
+
 def vector_field(p: Params, u: LatticeWindow) -> LatticeWindow:
     """F u = nu*L u - alpha*u.(D-)u + beta*u(1-u)(u-gamma) - lam*u + f.
 
     Products are componentwise.  Support grows by at most one index beyond
     the union of the supports of u and f.
     """
-    from . import _grid
-
-    lo, hi = u.support
-    flo, fhi = p.f.support
-    half = max(abs(lo), abs(hi), abs(flo), abs(fhi), 1) + 1
-    out = _grid.field(p, u.to_grid(half), p.f.to_grid(half), "window")
-    return LatticeWindow.from_grid(out, half)
+    return window_field(p, u, lambda U, f: _grid.field(p, U, f, "window"))
 
 
 # -- cut-off function and tail mass ----------------------------------------
 
 
-def cutoff_xi(k: int, i: int) -> float:
-    """C^1 ramp xi(|i|/k): 0 on [0,1], 1 on [2,inf), cubic smoothstep between."""
+def cutoff_xi(k: int, i):
+    """C^1 ramp xi(|i|/k): 0 on [0,1], 1 on [2,inf), cubic smoothstep
+    between; i is an index or an array of indices."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    s = abs(i) / k
-    if s <= 1.0:
-        return 0.0
-    if s >= 2.0:
-        return 1.0
-    w = s - 1.0
-    return 3.0 * w * w - 2.0 * w * w * w
+    w = np.clip(np.abs(i) / k - 1.0, 0.0, 1.0)
+    return 3.0 * w * w - 2.0 * w**3
 
 
 def tail_mass(u: LatticeWindow, k: int) -> float:
     """Sum of xi_{k,i} * u_i^2; an upper surrogate for the mass beyond |i|=2k."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
     lo, hi = u.support
-    if u.values.size == 0:
-        return 0.0
-    idx = np.arange(lo, hi + 1)
-    s = np.abs(idx) / k
-    w = np.clip(s - 1.0, 0.0, 1.0)
-    xi = 3.0 * w * w - 2.0 * w**3
+    xi = cutoff_xi(k, np.arange(lo, hi + 1))
     return float(np.sum(xi * u.values**2))

@@ -223,33 +223,24 @@ def reference_flow(p: Params, u0: LatticeWindow, t: float, dt_ref: float,
     return LatticeWindow.from_grid(out[0, 0], half_width)
 
 
-def local_defect(p: Params, eps: float, y: LatticeWindow,
-                 u_exact: LatticeWindow, half_width: int = DEFAULT_HALF_WIDTH,
-                 fp_tol: float = 1e-12) -> float:
-    """||u_exact - u^eps_1(y)|| for a single implicit step from y, with
-    u_exact the reference flow from y at time eps."""
-    cfg = StepConfig(eps=eps, fp_tol=fp_tol, enforce_eps_star=False)
-    return (u_exact - implicit_step(p, cfg, y, half_width)).norm()
-
-
-def global_defect(p: Params, eps: float, y: LatticeWindow, n_steps: int,
-                  u_exact: LatticeWindow, half_width: int = DEFAULT_HALF_WIDTH,
-                  fp_tol: float = 1e-12) -> float:
-    """||u_exact - u^eps_n(y)|| after n_steps implicit steps from y, with
-    u_exact the reference flow from y at time n_steps*eps."""
+def defect(p: Params, eps: float, Y: np.ndarray, n_steps: int,
+           U_exact: np.ndarray, fp_tol: float = 1e-12) -> float:
+    """||U_exact - u^eps_n(Y)|| after n_steps implicit steps from the window
+    grid Y, with U_exact the reference flow from Y at time n_steps*eps."""
     cfg = StepConfig(eps=eps, fp_tol=fp_tol)
-    grid = advance_grid(p, cfg, _to_grid_clamped(y, half_width), n_steps,
-                        "window", forcing_grid(p, half_width, "window"))
-    return float(np.linalg.norm(u_exact.to_grid(half_width) - grid))
+    half_width = (Y.shape[-1] - 1) // 2
+    out = advance_grid(p, cfg, Y, n_steps, "window",
+                       forcing_grid(p, half_width, "window"))
+    return float(np.linalg.norm(U_exact - out))
 
 
 def local_error(p: Params, eps: float, y: LatticeWindow, dt_ref: float,
                 half_width: int = DEFAULT_HALF_WIDTH,
                 fp_tol: float = 1e-12) -> float:
     """One-step defect ||u(eps, y) - u^eps_1(y)|| between the reference flow
-    and a single implicit step, both started from y."""
-    u_exact = reference_flow(p, y, eps, dt_ref, half_width)
-    return local_defect(p, eps, y, u_exact, half_width, fp_tol)
+    and a single implicit step, both started from y: the global error at
+    T = eps."""
+    return global_error(p, eps, y, eps, dt_ref, half_width, fp_tol)
 
 
 def global_error(p: Params, eps: float, y: LatticeWindow, T: float,
@@ -258,4 +249,5 @@ def global_error(p: Params, eps: float, y: LatticeWindow, T: float,
     """||u(T, y) - u^eps_{T/eps}(y)|| with T an integer multiple of eps."""
     n = step_count(T, eps)
     u_exact = reference_flow(p, y, T, dt_ref, half_width)
-    return global_defect(p, eps, y, n, u_exact, half_width, fp_tol)
+    return defect(p, eps, _to_grid_clamped(y, half_width), n,
+                  u_exact.to_grid(half_width), fp_tol)

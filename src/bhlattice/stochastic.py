@@ -17,7 +17,7 @@ import numpy as np
 from . import _grid
 from .attractor import PointCloud
 from .errors import HorizonTooShort
-from .lattice import LatticeWindow, Params, derived_constants
+from .lattice import LatticeWindow, Params, derived_constants, window_field
 from .stepping import forcing_grid
 
 OU_SCHEMA_VERSION = 1
@@ -153,13 +153,8 @@ def random_field(p: Params, sigma: float, z_t: float,
     At sigma = 0 this reduces to the deterministic vector field (the cubic
     regroups componentwise).
     """
-    lo, hi = U.support
-    flo, fhi = p.f.support
-    half = max(abs(lo), abs(hi), abs(flo), abs(fhi), 1) + 1
-    grid = U.to_grid(half)
-    f_grid = p.f.to_grid(half)
-    out = _grid.random_field(p, sigma, z_t, grid, f_grid, "window")
-    return LatticeWindow.from_grid(out, half)
+    return window_field(p, U, lambda G, f: _grid.random_field(
+        p, sigma, z_t, G, f, "window"))
 
 
 @dataclasses.dataclass(frozen=True)

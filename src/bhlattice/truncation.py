@@ -43,7 +43,7 @@ class TruncatedState:
         return hash((self.m, (self.values + 0.0).tobytes()))
 
 
-# -- matrices (reference form, used by tests and the Newton mode) -----------
+# -- matrices (reference form, used by tests) -------------------------------
 
 
 def d_minus_matrix(m: int) -> np.ndarray:

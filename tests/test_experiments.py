@@ -394,6 +394,54 @@ class TestCli:
                      command]) == 2
         assert not (tmp_path / f"{command}.csv").exists()
 
+    @pytest.mark.parametrize("command, doc", [
+        ("simulate", {"window_half_width": "32"}),
+        ("converge-noise", {"noise_m": 0}),
+        ("verify", {"grids": {"eps_list": "0.01"}}),
+        ("converge-noise", {"pullback_points": -1}),
+        ("verify", {"master_seed": "x"}),
+    ])
+    def test_bad_value_exits_2(self, tmp_path, monkeypatch, command, doc):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated with a bad config")
+
+        monkeypatch.setattr(_grid, "rk4", refuse)
+        monkeypatch.setattr(_grid, "picard_solve", refuse)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path),
+                     command]) == 2
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_negative_seed_exits_2(self, tmp_path):
+        assert main(["--seed", "-1", "--out", str(tmp_path), "verify"]) == 2
+
+    def test_every_subcommand_runs_at_a_tiny_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "grids": {"eps_list": [0.01], "eps_error_list": [0.02, 0.01],
+                      "m_list": [2, 4], "sigma_list": [0.1, 0.0]},
+            "attractor": {"sample_count": 2},
+            "noise": {"realizations": 2, "pullback_T": 1.0},
+            "reference": {"eps_ref": 0.002},
+            "window_half_width": 8, "noise_m": 4, "pullback_points": 2}))
+        out = tmp_path / "out"
+        tables = {"converge-eps": "eps_convergence",
+                  "converge-dim": "dim_convergence",
+                  "converge-noise": "noise_convergence",
+                  "error-order": "error_order", "bounds": "bounds"}
+        runs = [(["attractor", "--eps", "0.01"], ["cloud_eps0.01.json"])] + [
+            ([cmd], [f"{name}.csv", f"{name}.meta.json"])
+            for cmd, name in tables.items()]
+        for argv, files in runs:
+            assert main(["--config", str(cfg_path), "--out", str(out)]
+                        + argv) == 0, argv
+            printed = capsys.readouterr().out
+            for name in files:
+                assert (out / name).is_file(), name
+                assert str(out / name) in printed
+        assert len(os.listdir(out)) == 11
+
 
 class TestStepCap:
     """validate, verify's step_cap and the solver share one eps <= eps*."""

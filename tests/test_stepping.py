@@ -113,6 +113,19 @@ class TestImplicitStep:
                                              method="newton"), u_prev, 16)
         assert (a - b).norm() <= 1e-11
 
+    @pytest.mark.parametrize("factor", [2.0, 5.0, 20.0])
+    def test_newton_beyond_the_step_cap_matches_dense_newton(self, factor):
+        # the banded solve must stay right where Picard has no guarantee
+        eps = factor * derived_constants(FORCED).eps_star
+        cfg = StepConfig(eps=eps, fp_tol=1e-13, enforce_eps_star=False,
+                         method="newton")
+        u_prev = LatticeWindow(-2, [0.1, -0.4, 0.6, 0.3, -0.2])
+        out, info = implicit_step_info(FORCED, cfg, u_prev, 16)
+        assert info.residual <= 1e-13
+        oracle = dense_newton_step(FORCED, u_prev.to_grid(16), eps,
+                                   FORCED.f.to_grid(16))
+        assert np.max(np.abs(out.to_grid(16) - oracle)) <= 1e-10
+
     def test_contraction_certificate(self, params):
         dc = derived_constants(params)
         eps = dc.eps_star
@@ -362,6 +375,14 @@ class TestDiscretizationError:
     def test_zero_initial_state(self, params):
         assert local_error(params, 0.01, LatticeWindow.zero(), 1e-4, 16) == 0.0
         assert global_error(params, 0.01, LatticeWindow.zero(), 0.1, 1e-4, 16) == 0.0
+
+    def test_local_error_is_the_one_step_global_error(self):
+        y = LatticeWindow(-1, [0.3, -0.5, 0.2])
+        for eps in (0.02, 0.01):
+            local = local_error(FORCED, eps, y, eps / 100, 16)
+            assert local > 0.0
+            assert local.hex() == \
+                global_error(FORCED, eps, y, eps, eps / 100, 16).hex()
 
     def test_local_error_second_order(self, params):
         y = LatticeWindow.basis(0, 0.5)
