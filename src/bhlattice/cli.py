@@ -28,7 +28,7 @@ from .stochastic import ou_path, ou_path_to_json
 
 def load_config(path: str | None, seed: int | None = None) -> ExperimentConfig:
     if path is None:
-        cfg = default_config()
+        doc = {}
     else:
         try:
             with open(path) as fh:
@@ -40,20 +40,17 @@ def load_config(path: str | None, seed: int | None = None) -> ExperimentConfig:
                     doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
-        cfg = _config_from_dict(doc or {})
-    if seed is not None:
-        try:
-            cfg = dataclasses.replace(cfg, master_seed=seed)
-        except ValueError as exc:
-            raise ConfigError(f"invalid configuration: {exc}")
-    return cfg
+    return _config_from_dict(doc or {}, seed)
 
 
-def _config_from_dict(doc: dict) -> ExperimentConfig:
-    """Config from a parsed file: each key replaces one default, and an
-    unknown key at any level is a ConfigError."""
+def _config_from_dict(doc: dict, seed: int | None = None) -> ExperimentConfig:
+    """Config from a parsed file: each key replaces one default, a seed
+    replaces ``master_seed``, and an unknown key at any level or a bad value
+    is a ConfigError."""
     try:
         doc = dict(doc)
+        if seed is not None:
+            doc["master_seed"] = seed
         pdoc = dict(doc.pop("params", {}))
         if "f" in pdoc:
             pdoc["f"] = LatticeWindow(**pdoc["f"])

@@ -321,13 +321,14 @@ def vector_field(p: Params, u: LatticeWindow) -> LatticeWindow:
 # -- cut-off function and tail mass ----------------------------------------
 
 
-def cutoff_xi(k: int, i):
+def cutoff_xi(k: int, i: int | np.ndarray) -> float | np.ndarray:
     """C^1 ramp xi(|i|/k): 0 on [0,1], 1 on [2,inf), cubic smoothstep
-    between; i is an index or an array of indices."""
+    between; a float for an index, an array for an array of indices."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     w = np.clip(np.abs(i) / k - 1.0, 0.0, 1.0)
-    return 3.0 * w * w - 2.0 * w**3
+    xi = 3.0 * w * w - 2.0 * w**3
+    return float(xi) if np.ndim(xi) == 0 else xi
 
 
 def tail_mass(u: LatticeWindow, k: int) -> float:

@@ -303,6 +303,10 @@ class TestCli:
     def test_seed_override(self, tmp_path):
         cfg = load_config(None, seed=99)
         assert cfg.master_seed == 99
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"master_seed": 5, "noise_m": 4}')
+        cfg = load_config(str(cfg_path), seed=99)
+        assert (cfg.master_seed, cfg.noise_m) == (99, 4)
 
     def test_yaml_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

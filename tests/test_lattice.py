@@ -217,6 +217,13 @@ class TestCutoff:
     def test_midpoint(self):
         assert cutoff_xi(10, 15) == pytest.approx(0.5)
 
+    def test_float_for_index_array_for_indices(self):
+        assert type(cutoff_xi(10, 13)) is float
+        idx = np.arange(-25, 26)
+        xi = cutoff_xi(10, idx)
+        assert isinstance(xi, np.ndarray) and xi.shape == idx.shape
+        assert xi.tolist() == [cutoff_xi(10, int(i)) for i in idx]
+
     def test_tail_mass_bounds(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
