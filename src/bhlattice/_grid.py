@@ -168,11 +168,8 @@ def newton_solve(p, u_prev: np.ndarray, eps: float, f_grid: np.ndarray,
 
 
 def rk4(field_fn, U: np.ndarray, t0: float, dt: float, n_steps: int) -> np.ndarray:
-    """Classical fourth-order one-step method for dU/dt = field_fn(t, U).
-
-    dt is a scalar, or an array of per-row steps that broadcasts against
-    the leading axes of U (shape (R, 1) for an (R, n) stack); the time then
-    advances per row too, so field_fn must ignore t.
+    """Classical fourth-order one-step method for dU/dt = field_fn(t, U)
+    with the scalar step dt.
 
     Overflow is not checked here: a batch may hold rows that blow up next
     to rows that do not, so each caller tests the end state it needs

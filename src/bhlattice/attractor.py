@@ -9,7 +9,7 @@ import json
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import NotStabilized, SpaceMismatch
+from .errors import NotStabilized, SpaceMismatch, _is_int, _is_real
 from .lattice import LatticeWindow, tail_mass
 
 CLOUD_SCHEMA_VERSION = 1
@@ -27,11 +27,14 @@ class AttractorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.sample_count, self.burn_in, self.stabilization_gap,
-               self.max_rounds) < 1:
-            raise ValueError("all count fields must be positive")
-        if self.stabilization_tol <= 0:
-            raise ValueError("stabilization_tol must be positive")
+        counts = (self.sample_count, self.burn_in, self.stabilization_gap,
+                  self.max_rounds)
+        if not all(_is_int(n) and n >= 1 for n in counts):
+            raise ValueError("all count fields must be positive integers")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        if not _is_real(self.stabilization_tol) or self.stabilization_tol <= 0:
+            raise ValueError("stabilization_tol must be a positive number")
 
 
 @dataclasses.dataclass

@@ -17,11 +17,11 @@ from .attractor import cloud_norm, cloud_to_json
 from .errors import (BhLatticeError, ConfigError, DissipativityViolation,
                      NoConvergence, NonFinite, NotStabilized)
 from .experiments import (ExperimentConfig, ResultTable, _provenance,
-                          default_config, implicit_attractor, run_bounds,
-                          run_dim_convergence, run_eps_convergence,
-                          run_error_order, run_noise_convergence, verify,
-                          write_table)
-from .lattice import LatticeWindow
+                          default_config, implicit_attractor,
+                          require_step_cap, run_bounds, run_dim_convergence,
+                          run_eps_convergence, run_error_order,
+                          run_noise_convergence, verify, write_table)
+from .lattice import LatticeWindow, derived_constants
 from .stepping import StepConfig, run_trajectory
 from .stochastic import ou_path, ou_path_to_json
 
@@ -45,12 +45,15 @@ def load_config(path: str | None, seed: int | None = None) -> ExperimentConfig:
 
 def _config_from_dict(doc: dict, seed: int | None = None) -> ExperimentConfig:
     """Config from a parsed file: each key replaces one default, a seed
-    replaces ``master_seed``, and an unknown key at any level or a bad value
+    replaces all three seeds (``master_seed``, ``attractor.seed`` and
+    ``noise.master_seed``), and an unknown key at any level or a bad value
     is a ConfigError."""
     try:
         doc = dict(doc)
         if seed is not None:
             doc["master_seed"] = seed
+            doc["attractor"] = {**doc.get("attractor", {}), "seed": seed}
+            doc["noise"] = {**doc.get("noise", {}), "master_seed": seed}
         pdoc = dict(doc.pop("params", {}))
         if "f" in pdoc:
             pdoc["f"] = LatticeWindow(**pdoc["f"])
@@ -158,6 +161,7 @@ def _dispatch(args, cfg: ExperimentConfig) -> int:
         _emit(table, cfg.output_dir, args.format)
         return 0
     if cmd == "attractor":
+        require_step_cap(derived_constants(cfg.params), args.eps)
         cloud = implicit_attractor(cfg.params, args.eps, cfg.attractor,
                                    cfg.window_half_width)
         _write(cfg.output_dir, f"cloud_eps{args.eps:g}.json",

@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types, and the value tests of the config checks, shared
+across the package."""
+
+import numbers
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 class BhLatticeError(Exception):

@@ -162,6 +162,8 @@ def advance_grid(p: Params, cfg: StepConfig, U: np.ndarray, n_steps: int,
 def step_count(t: float, dt: float) -> int:
     """Number of steps of size dt that reach time t; t must be an integer
     multiple of dt."""
+    if dt <= 0:
+        raise ValueError("the step must be positive")
     n = int(round(t / dt))
     if abs(n * dt - t) > 1e-9 * max(t, dt):
         raise ValueError(
@@ -169,58 +171,32 @@ def step_count(t: float, dt: float) -> int:
     return n
 
 
-def reference_flows(p: Params, Y: np.ndarray, dts, stops,
+def reference_flows(p: Params, Y: np.ndarray, dt: float, n_steps: int,
                     half_width: int = DEFAULT_HALF_WIDTH) -> np.ndarray:
-    """Reference flows of an (R, n) stack of start grids, n = 2*half_width+1,
-    by the classical fourth-order one-step method.
-
-    Row r steps with dts[r] and is recorded after each step count in
-    stops[r] (an (R, k) array of nonnegative integers); the result is the
-    (R, k, n) array of those snapshots.  All rows advance together, in
-    segments between the sorted step counts, and a row leaves the stack
-    once its last snapshot is taken; each snapshot equals, bit for bit, the
-    integration of its row alone.  Raises NonFinite if a snapshot overflowed.
-    """
+    """Reference flows of an (R, n) stack of start grids, n = 2*half_width+1:
+    n_steps of the classical fourth-order one-step method with step dt, as
+    the (R, n) stack of end states.  Each row equals, bit for bit, the
+    integration of that row alone.  Raises NonFinite if any row overflowed."""
     Y = np.asarray(Y, dtype=float)
-    dts = np.asarray(dts, dtype=float)
-    stops = np.asarray(stops, dtype=int)
     if Y.ndim != 2 or Y.shape[1] != 2 * half_width + 1:
         raise ValueError("Y must be an (R, 2*half_width+1) stack of grids")
-    if dts.shape != (len(Y),) or stops.ndim != 2 or len(stops) != len(Y):
-        raise ValueError("dts and stops need one row per grid in Y")
-    if np.any(dts <= 0):
-        raise ValueError("dt_ref must be positive")
-    if np.any(stops < 0):
-        raise ValueError("step counts must be nonnegative")
+    if dt <= 0:
+        raise ValueError("the step must be positive")
+    if n_steps < 0:
+        raise ValueError("n_steps must be nonnegative")
     f_grid = forcing_grid(p, half_width, "window")
-    out = np.empty(stops.shape + Y.shape[1:])
-    live = np.arange(len(Y))
-    U, done = Y, 0
-    for stop in np.unique(stops):
-        if stop > done:
-            # the field is autonomous, so each row may keep its own step
-            U = _grid.rk4(lambda _t, V: _grid.field(p, V, f_grid, "window"),
-                          U, 0.0, dts[live, None], int(stop - done))
-            done = stop
-        rows, cols = np.nonzero(stops[live] == stop)
-        out[live[rows], cols] = _grid.require_finite(U[rows])
-        keep = stops[live].max(axis=1) > stop
-        live, U = live[keep], U[keep]
-    return out
+    return _grid.require_finite(_grid.rk4(
+        lambda _t, V: _grid.field(p, V, f_grid, "window"), Y, 0.0, dt, n_steps))
 
 
 def reference_flow(p: Params, u0: LatticeWindow, t: float, dt_ref: float,
                    half_width: int = DEFAULT_HALF_WIDTH) -> LatticeWindow:
     """Approximate continuous-time flow u(t, u0) by the classical fourth-order
     one-step method with step dt_ref; t must be a multiple of dt_ref."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if dt_ref <= 0:
-        raise ValueError("dt_ref must be positive")
-    n = step_count(t, dt_ref)
     grid = _to_grid_clamped(u0, half_width)
-    out = reference_flows(p, grid[None], [dt_ref], [[n]], half_width)
-    return LatticeWindow.from_grid(out[0, 0], half_width)
+    out = reference_flows(p, grid[None], dt_ref, step_count(t, dt_ref),
+                          half_width)
+    return LatticeWindow.from_grid(out[0], half_width)
 
 
 def defect(p: Params, eps: float, Y: np.ndarray, n_steps: int,
@@ -248,6 +224,6 @@ def global_error(p: Params, eps: float, y: LatticeWindow, T: float,
                  fp_tol: float = 1e-12) -> float:
     """||u(T, y) - u^eps_{T/eps}(y)|| with T an integer multiple of eps."""
     n = step_count(T, eps)
-    u_exact = reference_flow(p, y, T, dt_ref, half_width)
-    return defect(p, eps, _to_grid_clamped(y, half_width), n,
-                  u_exact.to_grid(half_width), fp_tol)
+    Y = _to_grid_clamped(y, half_width)[None]
+    U_exact = reference_flows(p, Y, dt_ref, step_count(T, dt_ref), half_width)
+    return defect(p, eps, Y, n, U_exact, fp_tol)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _grid
 from .attractor import PointCloud
-from .errors import HorizonTooShort
+from .errors import HorizonTooShort, _is_int, _is_real
 from .lattice import LatticeWindow, Params, derived_constants, window_field
 from .stepping import forcing_grid
 
@@ -133,12 +133,14 @@ class NoiseConfig:
     master_seed: int = 2024
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.h_path <= 0 or self.pullback_T <= 0:
-            raise ValueError("h_path and pullback_T must be positive")
-        if self.realizations < 1:
-            raise ValueError("realizations must be positive")
+        if not _is_real(self.sigma) or self.sigma < 0:
+            raise ValueError("sigma must be a nonnegative number")
+        if not all(_is_real(x) and x > 0 for x in (self.h_path, self.pullback_T)):
+            raise ValueError("h_path and pullback_T must be positive numbers")
+        if not _is_int(self.realizations) or self.realizations < 1:
+            raise ValueError("realizations must be a positive integer")
+        if not _is_int(self.master_seed) or self.master_seed < 0:
+            raise ValueError("master_seed must be a nonnegative integer")
 
 
 def realization_seed(master_seed: int, realization_index: int) -> np.random.SeedSequence:

@@ -28,7 +28,7 @@ from bhlattice import (
     verify,
     write_table,
 )
-from bhlattice import _grid
+from bhlattice import _grid, experiments, stepping
 from bhlattice.cli import load_config, main
 from bhlattice.experiments import (
     attractor_config_for_eps,
@@ -183,7 +183,8 @@ class TestErrorOrder:
 
     def one_pair_table(self, cfg, n_samples):
         """The study's columns, one local_error and one global_error call
-        per (eps, sample) pair, on the samples run_error_order draws."""
+        per (eps, sample) pair, on the samples run_error_order draws: local
+        reference steps eps/25, global reference step min(eps)/25."""
         p = cfg.params.replace(f=LatticeWindow.zero())
         dc = derived_constants(p)
         rng = np.random.default_rng(cfg.master_seed)
@@ -196,12 +197,12 @@ class TestErrorOrder:
         Lr1 = l_bound(p, dc.r_star + 1.0)
         cols = {"eps": list(self.EPS), "local_max": [], "global_max": [],
                 "local_bound": [], "global_bound": []}
+        dt_glob = min(self.EPS) / 25
         for eps in self.EPS:
-            dt_ref = eps / 100.0
             cols["local_max"].append(
-                max(local_error(p, eps, y, dt_ref, 32) for y in samples))
+                max(local_error(p, eps, y, eps / 25, 32) for y in samples))
             cols["global_max"].append(
-                max(global_error(p, eps, y, self.T, dt_ref, 32) for y in samples))
+                max(global_error(p, eps, y, self.T, dt_glob, 32) for y in samples))
             cols["local_bound"].append(Lr * Mr * Lr1 * eps**2)
             cols["global_bound"].append(Mr / 2.0 * math.exp(Lr * self.T) * eps)
         log_eps = np.log(cols["eps"])
@@ -220,11 +221,41 @@ class TestErrorOrder:
             assert [x.hex() for x in table.column(name)] == \
                 [float(x).hex() for x in col], name
         prov = table.provenance
-        assert prov["dt_ref"] == [eps / 100.0 for eps in self.EPS]
-        # the smallest reference step, run to T, sets the stacked step count
-        assert prov["reference_rk4_steps"] == 2000
-        assert prov["reference_rows"] == len(self.EPS) * n_samples
+        assert prov["dt_ref_local"] == [eps / 25 for eps in self.EPS]
+        assert prov["dt_ref_global"] == min(self.EPS) / 25
+        # one run to T at the smallest step, plus 25 steps per eps
+        assert prov["reference_rk4_steps"] == 500 + 25 * len(self.EPS)
+        assert prov["reference_rows"] == n_samples
         json.dumps(prov)
+
+    def test_references_resolve_the_defects(self, monkeypatch):
+        """At the default config, every reference the study integrates moves
+        by at most 1e-3 of each defect it is compared with when its step is
+        halved."""
+        refs, defects = [], []
+
+        def recording_flows(p, Y, dt, n_steps, K):
+            out = stepping.reference_flows(p, Y, dt, n_steps, K)
+            refs.append((p, Y, dt, n_steps, K, out))
+            return out
+
+        def recording_defect(p, eps, Y, n_steps, U):
+            value = stepping.defect(p, eps, Y, n_steps, U)
+            defects.append((U.tobytes(), value))
+            return value
+
+        monkeypatch.setattr(experiments, "reference_flows", recording_flows)
+        monkeypatch.setattr(experiments, "defect", recording_defect)
+        cfg = default_config()
+        run_error_order(cfg)
+        # one global run, then one local run per eps
+        assert len(refs) == 1 + len(cfg.grids.eps_error_list)
+        for p, Y, dt, n_steps, K, out in refs:
+            fine = stepping.reference_flows(p, Y, dt / 2, 2 * n_steps, K)
+            for row, fine_row in zip(out, fine):
+                resolved = [d for U, d in defects if U == row.tobytes()]
+                assert resolved
+                assert np.linalg.norm(row - fine_row) <= 1e-3 * min(resolved)
 
     def test_horizon_must_be_a_multiple_of_every_eps(self):
         with pytest.raises(ValueError, match="integer multiple"):
@@ -302,11 +333,30 @@ class TestCli:
 
     def test_seed_override(self, tmp_path):
         cfg = load_config(None, seed=99)
-        assert cfg.master_seed == 99
+        assert (cfg.master_seed, cfg.attractor.seed,
+                cfg.noise.master_seed) == (99, 99, 99)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text('{"master_seed": 5, "noise_m": 4}')
+        cfg_path.write_text(json.dumps({
+            "master_seed": 5, "noise_m": 4,
+            "attractor": {"seed": 5, "sample_count": 3},
+            "noise": {"master_seed": 5, "realizations": 2}}))
         cfg = load_config(str(cfg_path), seed=99)
         assert (cfg.master_seed, cfg.noise_m) == (99, 4)
+        assert (cfg.attractor.seed, cfg.attractor.sample_count) == (99, 3)
+        assert (cfg.noise.master_seed, cfg.noise.realizations) == (99, 2)
+
+    def test_seed_override_changes_the_attractor_cloud(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"attractor": {"sample_count": 2},
+                                        "window_half_width": 4}))
+        clouds = []
+        for seed in (5, 7):
+            out = tmp_path / str(seed)
+            assert main(["--config", str(cfg_path), "--seed", str(seed),
+                         "--out", str(out), "attractor", "--eps", "0.01"]) == 0
+            doc = json.loads((out / "cloud_eps0.01.json").read_text())
+            clouds.append(doc["points"])
+        assert clouds[0] != clouds[1]
 
     def test_yaml_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
@@ -404,6 +454,10 @@ class TestCli:
         ("verify", {"grids": {"eps_list": "0.01"}}),
         ("converge-noise", {"pullback_points": -1}),
         ("verify", {"master_seed": "x"}),
+        ("converge-eps", {"reference": {"eps_ref": "x"}}),
+        ("attractor", {"attractor": {"sample_count": 2.5}}),
+        ("converge-noise", {"noise": {"realizations": 2.5}}),
+        ("converge-eps", {"reference": {"eps_ref": -1.0}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, monkeypatch, command, doc):
         def refuse(*args, **kwargs):
@@ -452,7 +506,7 @@ class TestStepCap:
 
     @pytest.mark.parametrize("factor, allowed", [
         (1.0, True), (1.0 + 5e-13, False)])
-    def test_all_three_agree(self, factor, allowed):
+    def test_all_three_agree(self, factor, allowed, tmp_path, monkeypatch):
         cfg = default_config()
         dc = derived_constants(cfg.params)
         eps = dc.eps_star * factor
@@ -471,3 +525,13 @@ class TestStepCap:
                 implicit_step_info(cfg.params, step_cfg, u0, 16)
         checks = {c["check"]: c["status"] for c in verify(cfg)[1]["checks"]}
         assert checks["step_cap"] == ("pass" if allowed else "fail")
+        if not allowed:
+            # the attractor subcommand refuses the same eps before integrating
+            def refuse(*args, **kwargs):
+                raise AssertionError("integrated above eps*")
+
+            monkeypatch.setattr(_grid, "rk4", refuse)
+            monkeypatch.setattr(_grid, "picard_solve", refuse)
+            assert main(["--out", str(tmp_path), "attractor",
+                         "--eps", repr(eps)]) == 2
+            assert os.listdir(tmp_path) == []

@@ -293,60 +293,52 @@ class TestReferenceFlow:
 
 @st.composite
 def reference_stacks(draw):
-    """(Y, dts, stops, K): 1-4 start grids, each row with its own step and
-    the same number of snapshot step counts, in any order, repeats and 0
-    allowed."""
+    """(Y, dt, n_steps, K): 1-4 start grids, one step and one step count,
+    0 allowed."""
     K = draw(st.integers(1, 6))
     R = draw(st.integers(1, 4))
-    k = draw(st.integers(1, 3))
     Y = draw(hnp.arrays(np.float64, (R, 2 * K + 1),
                         elements=st.floats(-1.0, 1.0)))
-    dts = draw(st.lists(st.sampled_from([1e-3, 2.5e-3, 5e-3, 1e-2]),
-                        min_size=R, max_size=R))
-    stops = draw(st.lists(st.lists(st.integers(0, 12), min_size=k, max_size=k),
-                          min_size=R, max_size=R))
-    return Y, dts, stops, K
+    dt = draw(st.sampled_from([1e-3, 2.5e-3, 5e-3, 1e-2]))
+    return Y, dt, draw(st.integers(0, 12)), K
 
 
 class TestReferenceFlows:
     @PROPERTY
     @given(reference_stacks())
-    @example((np.linspace(-0.5, 0.5, 9).reshape(3, 3), [2.5e-3, 1e-3, 5e-3],
-              [[12, 0], [3, 3], [7, 12]], 1))
+    @example((np.linspace(-0.5, 0.5, 9).reshape(3, 3), 2.5e-3, 12, 1))
     def test_each_snapshot_equals_its_row_integrated_alone(self, stack):
-        Y, dts, stops, K = stack
-        got = stepping.reference_flows(FORCED, Y, dts, stops, K)
-        assert got.shape == (len(Y), len(stops[0]), 2 * K + 1)
+        Y, dt, n_steps, K = stack
+        got = stepping.reference_flows(FORCED, Y, dt, n_steps, K)
+        assert got.shape == Y.shape
         f_grid = FORCED.f.to_grid(K)
-        for r, row in enumerate(stops):
-            for j, n in enumerate(row):
-                alone = _grid.rk4(
-                    lambda _t, U: _grid.field(FORCED, U, f_grid, "window"),
-                    Y[r], 0.0, dts[r], n)
-                assert got[r, j].tobytes() == alone.tobytes()
+        for r, row in enumerate(Y):
+            alone = _grid.rk4(
+                lambda _t, U: _grid.field(FORCED, U, f_grid, "window"),
+                row, 0.0, dt, n_steps)
+            assert got[r].tobytes() == alone.tobytes()
 
     def test_one_overflowing_row_raises_nonfinite(self):
         Y = np.zeros((3, 9))
         Y[:, 4] = [0.1, 1e3, 0.2]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFinite, match="integrator state overflowed"):
-                stepping.reference_flows(FORCED, Y, [0.1] * 3,
-                                         [[1], [10], [20]], 4)
+                stepping.reference_flows(FORCED, Y, 0.1, 20, 4)
 
-    @pytest.mark.parametrize("dts, stops", [
-        ([0.01], [[1]]),               # one dt for two rows
-        ([0.01, 0.0], [[1], [1]]),     # a step that is not positive
-        ([0.01, 0.01], [[1], [-1]]),   # a negative step count
-        ([0.01, 0.01], [1, 1]),        # stops not one row per grid
+    @pytest.mark.parametrize("Y, dt, n_steps", [
+        pytest.param(np.zeros(9), 0.01, 1, id="one-grid-not-a-stack"),
+        pytest.param(np.zeros((2, 9)), 0.0, 1, id="zero-step"),
+        pytest.param(np.zeros((2, 9)), -0.01, 1, id="negative-step"),
+        pytest.param(np.zeros((2, 9)), 0.01, -1, id="negative-step-count"),
     ])
-    def test_rejects_malformed_rows(self, dts, stops):
+    def test_rejects_malformed_rows(self, Y, dt, n_steps):
         with pytest.raises(ValueError):
-            stepping.reference_flows(FORCED, np.zeros((2, 9)), dts, stops, 4)
+            stepping.reference_flows(FORCED, Y, dt, n_steps, 4)
 
     def test_rejects_grids_of_the_wrong_width(self):
         with pytest.raises(ValueError):
-            stepping.reference_flows(FORCED, np.zeros((2, 7)), [0.01] * 2,
-                                     [[1], [1]], 4)
+            stepping.reference_flows(FORCED, np.zeros((2, 7)), 0.01, 1, 4)
+
 
 class TestClampedGrid:
     @pytest.mark.parametrize("offset, size", [(-7, 15), (-7, 4), (5, 3),
@@ -396,6 +388,13 @@ class TestDiscretizationError:
         e1 = global_error(params, 0.02, y, 0.4, 2e-4, 16)
         e2 = global_error(params, 0.01, y, 0.4, 1e-4, 16)
         assert 1.5 <= e1 / e2 <= 2.8
+
+    def test_clipped_window_warns_once(self):
+        y = LatticeWindow(-10, np.full(21, 0.05))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            global_error(FORCED, 0.01, y, 0.02, 0.001, 8)
+        assert ["clamped" in str(w.message) for w in caught] == [True]
 
     def test_horizon_must_be_a_multiple_of_eps(self, params):
         y = LatticeWindow.basis(0, 0.5)
