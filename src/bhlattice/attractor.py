@@ -14,6 +14,12 @@ from .lattice import LatticeWindow, tail_mass
 
 CLOUD_SCHEMA_VERSION = 1
 
+# A round that moves the cloud by d_k <= tol ends the run if it moved it at
+# most this fraction of the round before.  If each later round moves the
+# cloud at most rho <= 1/2 as far as the last, the remaining motion is at
+# most d_k * rho / (1 - rho) <= d_k <= tol.
+CONTRACTION_RATIO = 0.5
+
 
 @dataclasses.dataclass
 class AttractorConfig:
@@ -43,7 +49,7 @@ class PointCloud:
 
     ``space`` is "window" or "truncated"; points are dense rows over the
     sites [-half_width, half_width].  ``meta`` records provenance (eps, m,
-    sigma, seed, steps_evolved) as available.
+    sigma, seed, steps_evolved, rounds, contraction_ratio) as available.
     """
 
     space: str
@@ -137,24 +143,30 @@ def attractor_approx(advance, cfg: AttractorConfig, ball_radius: float,
     """Evolve a sampled absorbing-ball cloud until it stops moving.
 
     ``advance(points, n_steps)`` must advance every row by n_steps.  After
-    the burn-in, the cloud is pushed ``stabilization_gap`` steps per round
-    until the symmetric Hausdorff distance between consecutive snapshots
-    drops below ``stabilization_tol``.  Raises NotStabilized (carrying the
-    last cloud) if ``max_rounds`` is exhausted.
+    the burn-in, the cloud is pushed ``stabilization_gap`` steps per round;
+    d_k is the symmetric Hausdorff distance between the snapshots before
+    and after round k.  The run stops after round k >= 2 once d_k <=
+    ``stabilization_tol`` and either the round contracted (d_k <=
+    CONTRACTION_RATIO * d_{k-1}) or the round before was within tolerance
+    too.  Raises NotStabilized (carrying the last cloud) if ``max_rounds``
+    is exhausted.
     """
     cloud = sample_ball(ball_radius, space, half_width, cfg.sample_count,
                         cfg.seed)
     U = advance(cloud.points, cfg.burn_in)
     steps = cfg.burn_in
-    dist = np.inf
-    for _ in range(cfg.max_rounds):
+    tol = cfg.stabilization_tol
+    prev = dist = np.inf
+    for rounds in range(1, cfg.max_rounds + 1):
         V = advance(U, cfg.stabilization_gap)
         steps += cfg.stabilization_gap
-        dist = _sym_arrays(U, V)
+        prev, dist = dist, _sym_arrays(U, V)
         U = V
-        if dist <= cfg.stabilization_tol:
+        if rounds >= 2 and dist <= tol and (
+                dist <= CONTRACTION_RATIO * prev or prev <= tol):
             out_meta = {"seed": cfg.seed, "steps_evolved": steps,
-                        "stabilized_distance": dist}
+                        "rounds": rounds, "stabilized_distance": dist,
+                        "contraction_ratio": dist / prev if prev else None}
             out_meta.update(meta or {})
             return PointCloud(space, half_width, U, meta=out_meta)
     out_meta = {"seed": cfg.seed, "steps_evolved": steps}

@@ -27,10 +27,14 @@ from .stepping import (StepConfig, advance_grid, defect, forcing_grid,
                        step_count)
 from .stochastic import NoiseConfig, absorbing_radius, pullback_batch
 
-# attraction happens on the time scale 1/(lam - lam*); burn-in and gap are
-# fixed multiples of it, converted to step counts per eps
-BURN_IN_TIME_FACTOR = 20.0
+# attraction happens on the time scale 1/(lam - lam*); a stabilization
+# round (and the burn-in) is a fixed multiple of it, converted to a step
+# count per eps
 STABILIZATION_GAP_TIME = 2.0
+
+# longest stabilization round a runner starts; the round grows without
+# bound as lam -> lam*
+MAX_ROUND_STEPS = 10**6
 
 # trend checks: adjacent rows may rise by this relative slack plus a floor
 # tied to the cloud stabilization tolerance
@@ -216,12 +220,15 @@ def trend_nonincreasing(values, rel_slack: float, abs_floor: float) -> bool:
 
 def attractor_config_for_eps(base: AttractorConfig, eps: float,
                              lam_gap: float) -> AttractorConfig:
-    """Scale burn-in and stabilization gap to the attraction time scale."""
-    return dataclasses.replace(
-        base,
-        burn_in=max(1, math.ceil(BURN_IN_TIME_FACTOR / (eps * lam_gap))),
-        stabilization_gap=max(1, math.ceil(STABILIZATION_GAP_TIME / (eps * lam_gap))),
-    )
+    """Burn-in and stabilization gap of one round each, scaled to the
+    attraction time scale; ConfigError if a round exceeds MAX_ROUND_STEPS."""
+    length = STABILIZATION_GAP_TIME / (eps * lam_gap)
+    if length > MAX_ROUND_STEPS:
+        raise ConfigError(
+            f"a stabilization round at eps={eps} and lam - lam*={lam_gap} "
+            f"takes {length:.4g} steps, above the budget of {MAX_ROUND_STEPS}")
+    gap = max(1, math.ceil(length))
+    return dataclasses.replace(base, burn_in=gap, stabilization_gap=gap)
 
 
 def implicit_attractor(p: Params, eps: float, base: AttractorConfig,
@@ -273,13 +280,17 @@ def run_eps_convergence(cfg: ExperimentConfig) -> ResultTable:
     K = cfg.window_half_width
     a_ref = flow_attractor(cfg.params, cfg.reference.eps_ref, cfg.attractor, K)
     rows = {"eps": [], "dist_semi": [], "dist_sym": [], "cloud_norm": []}
+    steps = []
     for eps in cfg.grids.eps_list:
         a_eps = implicit_attractor(cfg.params, eps, cfg.attractor, K)
         rows["eps"].append(eps)
         rows["dist_semi"].append(hausdorff_semi(a_eps, a_ref))
         rows["dist_sym"].append(hausdorff_sym(a_eps, a_ref))
         rows["cloud_norm"].append(cloud_norm(a_eps))
+        steps.append(a_eps.meta["steps_evolved"])
     prov = _provenance(cfg)
+    prov["steps_evolved"] = {"reference": a_ref.meta["steps_evolved"],
+                             "rows": steps}
     prov["trend_rel_slack"] = TREND_REL_SLACK
     prov["trend_abs_floor"] = 2.0 * cfg.attractor.stabilization_tol
     return ResultTable("eps_convergence", rows, prov)
@@ -295,6 +306,7 @@ def run_dim_convergence(cfg: ExperimentConfig) -> ResultTable:
     eps = cfg.grids.eps_list[0]
     a_full = implicit_attractor(cfg.params, eps, cfg.attractor, K)
     rows = {"m": [], "dist_semi": [], "tail_profile": [], "cloud_norm": []}
+    steps = []
     for m in cfg.grids.m_list:
         a_m = implicit_attractor(cfg.params, eps, cfg.attractor, m,
                                  mode="truncated")
@@ -303,8 +315,11 @@ def run_dim_convergence(cfg: ExperimentConfig) -> ResultTable:
         rows["dist_semi"].append(hausdorff_semi(a_m_embedded, a_full))
         rows["tail_profile"].append(tail_profile(a_m, max(1, m // 2)))
         rows["cloud_norm"].append(cloud_norm(a_m))
+        steps.append(a_m.meta["steps_evolved"])
     prov = _provenance(cfg)
     prov["eps"] = eps
+    prov["steps_evolved"] = {"window": a_full.meta["steps_evolved"],
+                             "rows": steps}
     prov["trend_rel_slack"] = TREND_REL_SLACK
     prov["trend_abs_floor"] = 2.0 * cfg.attractor.stabilization_tol
     return ResultTable("dim_convergence", rows, prov)
@@ -355,6 +370,8 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ResultTable:
         rows["mean_radius"].append(float(np.mean(radii)))
     prov = _provenance(cfg)
     prov.update({"m": m, "dt": dt, "pullback_T": cfg.noise.pullback_T,
+                 "steps_evolved": {"deterministic":
+                                   a_det.meta["steps_evolved"]},
                  "excluded_realizations": excluded_realizations,
                  "sigma_slope": _log_slope(rows["sigma"], rows["mean_dist"])})
     return ResultTable("noise_convergence", rows, prov)
@@ -383,6 +400,8 @@ def run_error_order(cfg: ExperimentConfig, T: float = 0.5,
     eps_list = cfg.grids.eps_error_list
     if not eps_list:
         raise ConfigError("grids.eps_error_list must not be empty")
+    for eps in eps_list:
+        require_step_cap(dc, eps)
     K = 32
     rng = np.random.default_rng(cfg.master_seed)
     samples = [_random_window(rng, 8, 0.9 * dc.r_star).to_grid(K)
@@ -430,6 +449,7 @@ def run_bounds(cfg: ExperimentConfig, c_list=(1.0, 0.5, 0.25, 0.0),
     m = cfg.noise_m
     rows = {"c": [], "lam": [], "norm_window": [], "norm_trunc": [],
             "bound": []}
+    steps = {"window": [], "truncated": []}
     for c in c_list:
         for lam in lam_list:
             f = LatticeWindow(base.f.offset, base.f.values * c) if c else \
@@ -445,8 +465,11 @@ def run_bounds(cfg: ExperimentConfig, c_list=(1.0, 0.5, 0.25, 0.0),
             rows["norm_window"].append(cloud_norm(a_w))
             rows["norm_trunc"].append(cloud_norm(a_t))
             rows["bound"].append(p.f.norm() / (lam - dc.lambda_star))
+            steps["window"].append(a_w.meta["steps_evolved"])
+            steps["truncated"].append(a_t.meta["steps_evolved"])
     prov = _provenance(cfg)
     prov["norm_slack"] = 2.0 * cfg.attractor.stabilization_tol
+    prov["steps_evolved"] = steps
     return ResultTable("bounds", rows, prov)
 
 

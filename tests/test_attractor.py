@@ -140,7 +140,60 @@ class TestStabilization:
             attractor_approx(advance, cfg, 1.0, "window", 2)
         assert exc.value.last_distance > 1e-9
         assert isinstance(exc.value.cloud, PointCloud)
-        assert exc.value.cloud.meta["steps_evolved"] == 5 + 4 * 3
+        assert exc.value.cloud.meta == {"seed": 4,
+                                        "steps_evolved": 5 + 4 * 3}
+
+    @pytest.mark.parametrize("q, gap", [
+        (0.5, 3),   # each round contracts 8-fold: stops on the ratio
+        (0.9, 1),   # each round moves 0.9 as far: stops a round later
+        (0.5, 1),   # exactly the contraction ratio
+    ])
+    def test_geometric_map_stops_at_the_predicted_round(self, q, gap):
+        # one point p: after round k the cloud is p * q**(burn_in + k*gap),
+        # so d_k = |p| q**burn_in (1 - q**gap) (q**gap)**(k - 1)
+        burn_in, tol = 10, 1e-6
+        cfg = AttractorConfig(sample_count=1, burn_in=burn_in,
+                              stabilization_gap=gap, stabilization_tol=tol,
+                              max_rounds=200, seed=3)
+        r = float(np.linalg.norm(sample_ball(1.0, "window", 4, 1, 3).points))
+        ratio = q**gap
+        d = [r * q**burn_in * (1 - ratio) * ratio**j for j in range(200)]
+        # first round within tol; a later one if rounds do not halve
+        first = next(k for k in range(1, 201) if d[k - 1] <= tol)
+        expected = max(2, first if ratio <= 0.5 else first + 1)
+        A = attractor_approx(lambda pts, n: pts * q**n, cfg, 1.0,
+                             "window", 4)
+        assert A.meta["rounds"] == expected
+        assert A.meta["steps_evolved"] == burn_in + expected * gap
+        assert A.meta["stabilized_distance"] <= tol
+        assert A.meta["contraction_ratio"] == pytest.approx(ratio, rel=1e-9)
+
+    def test_steady_drift_within_tol_stops_after_two_rounds(self):
+        # every round moves the cloud by tol/2 and none contracts: round 1
+        # cannot stop it, round 2 follows a round within tol
+        tol, gap = 1e-7, 4
+
+        def advance(pts, n):
+            out = pts.copy()
+            out[:, 0] += n * (tol / 2) / gap
+            return out
+
+        cfg = AttractorConfig(sample_count=16, burn_in=7,
+                              stabilization_gap=gap, stabilization_tol=tol,
+                              max_rounds=50, seed=5)
+        A = attractor_approx(advance, cfg, 1.0, "window", 3)
+        assert A.meta["rounds"] == 2
+        assert A.meta["steps_evolved"] == 7 + 2 * gap
+        assert A.meta["stabilized_distance"] == pytest.approx(tol / 2)
+        assert A.meta["contraction_ratio"] == pytest.approx(1.0)
+
+    def test_fixed_cloud_has_no_contraction_ratio(self):
+        cfg = AttractorConfig(sample_count=4, burn_in=1, stabilization_gap=1,
+                              max_rounds=5, seed=6)
+        A = attractor_approx(lambda pts, n: pts, cfg, 1.0, "window", 2)
+        assert A.meta["rounds"] == 2
+        assert A.meta["stabilized_distance"] == 0.0
+        assert A.meta["contraction_ratio"] is None
 
     def test_deterministic_given_seed(self):
         def advance(pts, n):

@@ -12,6 +12,7 @@ from bhlattice import (
     LatticeWindow,
     NoiseConfig,
     NonFinite,
+    PointCloud,
     ResultTable,
     StepConfig,
     StepTooLarge,
@@ -19,6 +20,7 @@ from bhlattice import (
     default_params,
     derived_constants,
     global_error,
+    hausdorff_sym,
     implicit_step_info,
     l_bound,
     local_error,
@@ -82,8 +84,58 @@ class TestConfig:
     def test_attractor_scaling(self):
         cfg = default_config()
         acfg = attractor_config_for_eps(cfg.attractor, 0.01, 1.4375)
-        assert acfg.burn_in == 1392  # ceil(20 / (0.01 * 1.4375))
+        # one round each: ceil(2 / (0.01 * 1.4375))
+        assert acfg.burn_in == 140
         assert acfg.stabilization_gap == 140
+
+
+class TestAttractorClouds:
+    @staticmethod
+    def acceptance_attractor_cfg():
+        return AttractorConfig(sample_count=64, burn_in=1000,
+                               stabilization_gap=20, stabilization_tol=1e-7,
+                               max_rounds=200, seed=0)
+
+    @pytest.mark.parametrize("half_width, mode", [(16, "window"),
+                                                  (8, "truncated")])
+    def test_stopped_cloud_moves_at_most_tol_afterwards(self, half_width,
+                                                        mode):
+        p, eps = default_params(), 0.01
+        base = self.acceptance_attractor_cfg()
+        A = experiments.implicit_attractor(p, eps, base, half_width, mode)
+        gap = attractor_config_for_eps(
+            base, eps, p.lam - derived_constants(p).lambda_star
+        ).stabilization_gap
+        assert A.meta["steps_evolved"] == (A.meta["rounds"] + 1) * gap
+        later = stepping.advance_grid(p, StepConfig(eps=eps), A.points,
+                                      5 * gap, mode,
+                                      stepping.forcing_grid(p, half_width,
+                                                            mode))
+        moved = hausdorff_sym(A, PointCloud(mode, half_width, later))
+        assert moved <= base.stabilization_tol
+
+    def test_round_over_budget_is_refused_before_any_step(self, tmp_path,
+                                                          monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("advanced a cloud over the round budget")
+
+        monkeypatch.setattr(experiments, "advance_grid", refuse)
+        monkeypatch.setattr(_grid, "rk4", refuse)
+        monkeypatch.setattr(_grid, "picard_solve", refuse)
+        # lam - lam* = 1e-5: a round at eps = 0.005 is 4e7 steps
+        lam = 6.5625 + 1e-5
+        p = default_params(f_scale=0.0, lam=lam)
+        base = AttractorConfig(sample_count=2)
+        with pytest.raises(ConfigError, match=r"eps=0\.005 .* takes 4e\+07"):
+            experiments.implicit_attractor(p, 0.005, base, 4)
+        with pytest.raises(ConfigError, match="above the budget"):
+            experiments.flow_attractor(p, 0.005, base, 4)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "params": {"lam": lam, "f": {"offset": 0, "values": []}}}))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path),
+                     "attractor", "--eps", "0.005"]) == 2
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 class TestTrend:
@@ -458,6 +510,8 @@ class TestCli:
         ("attractor", {"attractor": {"sample_count": 2.5}}),
         ("converge-noise", {"noise": {"realizations": 2.5}}),
         ("converge-eps", {"reference": {"eps_ref": -1.0}}),
+        # above the unforced eps* = 0.02128 the error-order study runs
+        ("error-order", {"grids": {"eps_error_list": [0.5, 0.25]}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, monkeypatch, command, doc):
         def refuse(*args, **kwargs):
@@ -499,6 +553,21 @@ class TestCli:
                 assert (out / name).is_file(), name
                 assert str(out / name) in printed
         assert len(os.listdir(out)) == 11
+        # every cloud says how it stopped, every table how long each of its
+        # clouds was evolved
+        meta = json.loads((out / "cloud_eps0.01.json").read_text())["meta"]
+        assert meta["steps_evolved"] == (meta["rounds"] + 1) * 140
+        assert {"stabilized_distance", "contraction_ratio"} <= set(meta)
+
+        def steps(name):
+            return json.loads(
+                (out / f"{name}.meta.json").read_text())["steps_evolved"]
+
+        assert set(steps("eps_convergence")) == {"reference", "rows"}
+        assert len(steps("eps_convergence")["rows"]) == 1
+        assert len(steps("dim_convergence")["rows"]) == 2
+        assert steps("noise_convergence")["deterministic"] > 0
+        assert {len(v) for v in steps("bounds").values()} == {12}
 
 
 class TestStepCap:
