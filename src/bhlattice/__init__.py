@@ -13,12 +13,11 @@ from .lattice import (DerivedConstants, LatticeWindow, Params, cutoff_xi,
                       lambda_star, lambda_star_coeffs, laplacian, m_bound,
                       norm_lp, tail_mass, vector_field)
 from .stepping import (StepConfig, StepInfo, Trajectory, global_error,
-                       implicit_step, implicit_step_info, local_error,
-                       reference_flow, reference_flows, run_trajectory)
+                       implicit_step_info, local_error, reference_flow,
+                       reference_flows, run_trajectory)
 from .truncation import (TruncatedState, d_minus_m, d_minus_matrix, d_plus_m,
                          d_plus_matrix, laplacian_m, laplacian_matrix,
-                         null_expansion, restriction, truncated_field,
-                         truncated_step, truncated_trajectory)
+                         restriction, truncated_field, truncated_trajectory)
 from .attractor import (AttractorConfig, PointCloud, attractor_approx,
                         cloud_from_json, cloud_norm, cloud_to_json,
                         embed_cloud, hausdorff_semi, hausdorff_sym,

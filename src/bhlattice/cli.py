@@ -16,11 +16,12 @@ import sys
 from .attractor import cloud_norm, cloud_to_json
 from .errors import (BhLatticeError, ConfigError, DissipativityViolation,
                      NoConvergence, NonFinite, NotStabilized)
-from .experiments import (ExperimentConfig, ResultTable, _provenance,
-                          default_config, implicit_attractor,
-                          require_step_cap, run_bounds, run_dim_convergence,
-                          run_eps_convergence, run_error_order,
-                          run_noise_convergence, verify, write_table)
+from .experiments import (STABILIZATION_GAP_TIME, ExperimentConfig,
+                          ResultTable, _provenance, default_config,
+                          implicit_attractor, require_step_cap, run_bounds,
+                          run_dim_convergence, run_eps_convergence,
+                          run_error_order, run_noise_convergence, verify,
+                          write_table)
 from .lattice import LatticeWindow, derived_constants
 from .stepping import StepConfig, run_trajectory
 from .stochastic import ou_path, ou_path_to_json
@@ -46,10 +47,14 @@ def load_config(path: str | None, seed: int | None = None) -> ExperimentConfig:
 def _config_from_dict(doc: dict, seed: int | None = None) -> ExperimentConfig:
     """Config from a parsed file: each key replaces one default, a seed
     replaces all three seeds (``master_seed``, ``attractor.seed`` and
-    ``noise.master_seed``), and an unknown key at any level or a bad value
-    is a ConfigError."""
+    ``noise.master_seed``), and an unknown key at any level, a bad value or
+    a derived attractor length is a ConfigError."""
     try:
         doc = dict(doc)
+        if {"burn_in", "stabilization_gap"} & set(doc.get("attractor", {})):
+            raise ConfigError(
+                "attractor.burn_in and attractor.stabilization_gap are derived:"
+                f" ceil({STABILIZATION_GAP_TIME:g}/(eps*(lam - lam*))) steps")
         if seed is not None:
             doc["master_seed"] = seed
             doc["attractor"] = {**doc.get("attractor", {}), "seed": seed}
@@ -71,6 +76,15 @@ def _config_from_dict(doc: dict, seed: int | None = None) -> ExperimentConfig:
             grids=grids, **sub, **doc)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid configuration: {exc}")
+
+
+def _checked(convert, ok):
+    """An argparse type: ``convert`` the text, then refuse it unless ok."""
+    def number(text):
+        if not ok(value := convert(text)):
+            raise argparse.ArgumentTypeError(f"out of range: {text}")
+        return value
+    return number
 
 
 # study subcommands: name -> (runner, help); each writes its one table
@@ -109,22 +123,25 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _checked(float, lambda x: 0 < x < float("inf"))
+    finite = _checked(float, lambda x: abs(x) < float("inf"))
+    count = _checked(int, lambda n: n >= 0)
 
     sp = sub.add_parser("simulate", help="run an implicit-Euler trajectory")
-    sp.add_argument("--eps", type=float, default=0.005)
-    sp.add_argument("--steps", type=int, default=200)
-    sp.add_argument("--amplitude", type=float, default=0.5,
+    sp.add_argument("--eps", type=positive, default=0.005)
+    sp.add_argument("--steps", type=count, default=200)
+    sp.add_argument("--amplitude", type=finite, default=0.5,
                     help="initial state amplitude at site 0")
 
     sp = sub.add_parser("attractor", help="approximate one attractor cloud")
-    sp.add_argument("--eps", type=float, default=0.005)
+    sp.add_argument("--eps", type=positive, default=0.005)
 
     for name, (_, help_text) in STUDIES.items():
         sub.add_parser(name, help=help_text)
 
     sp = sub.add_parser("ou-path", help="sample one noise path")
-    sp.add_argument("--horizon", type=float, default=100.0)
-    sp.add_argument("--h", type=float, default=0.01)
+    sp.add_argument("--horizon", type=positive, default=100.0)
+    sp.add_argument("--h", type=positive, default=0.01)
 
     sub.add_parser("verify", help="check that lam > lam*, every eps is at "
                    "most eps* and the solver meets its contract")

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from . import __version__, _grid
+from . import __version__
 from .attractor import (AttractorConfig, PointCloud, attractor_approx,
                         cloud_norm, embed_cloud, hausdorff_semi,
                         hausdorff_sym, sample_ball, tail_profile)
@@ -22,9 +22,8 @@ from .errors import (ConfigError, DissipativityViolation, NonFinite, _is_int,
                      _is_real)
 from .lattice import (LatticeWindow, Params, derived_constants, l_bound,
                       m_bound)
-from .stepping import (StepConfig, advance_grid, defect, forcing_grid,
-                       implicit_step_info, params_hash, reference_flows,
-                       step_count)
+from .stepping import (StepConfig, advance_grid, defect, implicit_step_info,
+                       params_hash, reference_flows, step_count)
 from .stochastic import NoiseConfig, absorbing_radius, pullback_batch
 
 # attraction happens on the time scale 1/(lam - lam*); a stabilization
@@ -236,38 +235,32 @@ def implicit_attractor(p: Params, eps: float, base: AttractorConfig,
                        fp_tol: float = 1e-10) -> PointCloud:
     """Attractor cloud of the implicit Euler system at step eps."""
     step_cfg = StepConfig(eps=eps, fp_tol=fp_tol)
-
-    def advance(U, n, f_grid):
-        return advance_grid(p, step_cfg, U, n, mode, f_grid)
-
-    return _evolved_attractor(p, eps, base, half_width, mode, advance,
-                              {"eps": eps, "mode": mode})
+    return _evolved_attractor(
+        p, eps, base, half_width, mode,
+        lambda U, n: advance_grid(p, step_cfg, U, n, mode),
+        {"eps": eps, "mode": mode})
 
 
 def flow_attractor(p: Params, dt: float, base: AttractorConfig,
                    half_width: int, mode: str = "window") -> PointCloud:
     """Attractor cloud of the continuous-time flow via the reference
     integrator with step dt."""
-    def advance(U, n, f_grid):
-        return _grid.require_finite(
-            _grid.rk4(lambda _t, Y: _grid.field(p, Y, f_grid, mode),
-                      U, 0.0, dt, n))
-
-    return _evolved_attractor(p, dt, base, half_width, mode, advance,
-                              {"dt": dt, "mode": mode, "flow": True})
+    return _evolved_attractor(
+        p, dt, base, half_width, mode,
+        lambda U, n: reference_flows(p, U, dt, n, mode),
+        {"dt": dt, "mode": mode, "flow": True})
 
 
 def _evolved_attractor(p: Params, step: float, base: AttractorConfig,
                        half_width: int, mode: str, advance,
                        meta: dict) -> PointCloud:
     """Cloud of the system ``mode`` over the sites |i| <= half_width, evolved
-    from the absorbing ball by ``advance(U, n, f_grid)``, with burn-in and
-    gap scaled to the step."""
+    from the absorbing ball by ``advance(U, n)``, with burn-in and gap
+    scaled to the step."""
     dc = derived_constants(p)
-    f_grid = forcing_grid(p, half_width, mode)
     acfg = attractor_config_for_eps(base, step, p.lam - dc.lambda_star)
-    return attractor_approx(lambda U, n: advance(U, n, f_grid), acfg,
-                            dc.r_star, mode, half_width, meta=meta)
+    return attractor_approx(advance, acfg, dc.r_star, mode, half_width,
+                            meta=meta)
 
 
 # -- experiment runners -----------------------------------------------------
@@ -412,14 +405,14 @@ def run_error_order(cfg: ExperimentConfig, T: float = 0.5,
     dt_local = [eps / REFERENCE_STEPS_PER_EPS for eps in eps_list]
     dt_glob = min(dt_local)
     n_glob = REFERENCE_STEPS_PER_EPS * max(n_implicit)
-    at_T = reference_flows(p, samples, dt_glob, n_glob, K)
+    at_T = reference_flows(p, samples, dt_glob, n_glob)
     Lr = l_bound(p, dc.r_star)
     Mr = m_bound(p, dc.r_star)
     Lr1 = l_bound(p, dc.r_star + 1.0)
     rows = {"eps": [], "local_max": [], "global_max": [],
             "local_bound": [], "global_bound": []}
     for eps, n, dt in zip(eps_list, n_implicit, dt_local):
-        at_eps = reference_flows(p, samples, dt, REFERENCE_STEPS_PER_EPS, K)
+        at_eps = reference_flows(p, samples, dt, REFERENCE_STEPS_PER_EPS)
         rows["eps"].append(eps)
         rows["local_max"].append(max(
             defect(p, eps, Y, 1, U) for Y, U in zip(samples, at_eps)))

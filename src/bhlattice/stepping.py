@@ -80,42 +80,43 @@ def _to_grid_clamped(u: LatticeWindow, half_width: int) -> np.ndarray:
     return u.to_grid(half_width)
 
 
-def implicit_steps(p: Params, cfg: StepConfig, y: np.ndarray, n_steps: int,
-                   mode: str, f_grid: np.ndarray):
-    """Yield (y, StepInfo) for each of n_steps implicit Euler steps
-    y_next = y + eps*F(y_next) of the single state grid y, with the boundary
-    closure ``mode``.
+def implicit_steps(p: Params, cfg: StepConfig, Y: np.ndarray, n_steps: int,
+                   mode: str):
+    """Yield (Y, StepInfo) for each of n_steps implicit Euler steps
+    Y_next = Y + eps*F(Y_next) of one grid or a (..., 2K+1) stack of grids,
+    with the boundary closure ``mode`` and the system's own forcing.
 
-    Refuses eps above eps* (unless cfg allows it), and warns for each step
-    that starts outside the absorbing ball.  Each Picard solve starts from
-    the last step's solution, whose F(y) it already knows.  The residual in
-    StepInfo is the exact defect of y.
+    Refuses eps above eps* (unless cfg allows it), and warns once if a row
+    of the start lies outside the absorbing ball, which the steps keep
+    forward invariant.  Newton takes one grid only.  Each Picard solve
+    starts from the last step's solution, whose F(Y) it already knows.
+    The residual in StepInfo is the exact defect of Y, its worst row's.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
+    if cfg.method == "newton" and Y.ndim != 1:
+        raise ValueError("Newton steps take a single grid, not a stack")
     if not n_steps:
         return
     dc = derived_constants(p)
     if cfg.enforce_eps_star and not dc.allows_step(cfg.eps):
         raise StepTooLarge(
             f"eps={cfg.eps} exceeds the contraction-safe cap {dc.eps_star}")
-
-    def field(U):
-        return _grid.field(p, U, f_grid, mode)
-
+    if np.max(_grid.row_norms(Y)) > dc.r_star * (1.0 + 1e-12):
+        warnings.warn(
+            "initial state lies outside the absorbing ball; the "
+            "contraction guarantees do not apply", RuntimeWarning)
+    f_grid = forcing_grid(p, (Y.shape[-1] - 1) // 2, mode)
     F = None
     for _ in range(n_steps):
-        if np.linalg.norm(y) > dc.r_star * (1.0 + 1e-12):
-            warnings.warn(
-                "initial state lies outside the absorbing ball; the "
-                "contraction guarantees do not apply", RuntimeWarning)
         if cfg.method == "newton":
-            y, resid, iters = _grid.newton_solve(
-                p, y, cfg.eps, f_grid, mode, cfg.fp_tol, cfg.max_iter)
+            Y, resid, iters = _grid.newton_solve(
+                p, Y, cfg.eps, f_grid, mode, cfg.fp_tol, cfg.max_iter)
         else:
-            y, resid, iters, F = _grid.picard_solve(
-                field, y, cfg.eps, cfg.fp_tol, cfg.max_iter, F)
-        yield y, StepInfo(resid, iters)
+            Y, resid, iters, F = _grid.picard_solve(
+                lambda U: _grid.field(p, U, f_grid, mode), Y, cfg.eps,
+                cfg.fp_tol, cfg.max_iter, F)
+        yield Y, StepInfo(resid, iters)
 
 
 def implicit_step_info(p: Params, cfg: StepConfig, u_prev: LatticeWindow,
@@ -126,14 +127,8 @@ def implicit_step_info(p: Params, cfg: StepConfig, u_prev: LatticeWindow,
     defect of the returned state.
     """
     (y, info), = implicit_steps(
-        p, cfg, _to_grid_clamped(u_prev, half_width), 1, "window",
-        forcing_grid(p, half_width, "window"))
+        p, cfg, _to_grid_clamped(u_prev, half_width), 1, "window")
     return LatticeWindow.from_grid(y, half_width), info
-
-
-def implicit_step(p: Params, cfg: StepConfig, u_prev: LatticeWindow,
-                  half_width: int = DEFAULT_HALF_WIDTH) -> LatticeWindow:
-    return implicit_step_info(p, cfg, u_prev, half_width)[0]
 
 
 def run_trajectory(p: Params, cfg: StepConfig, u0: LatticeWindow,
@@ -142,20 +137,16 @@ def run_trajectory(p: Params, cfg: StepConfig, u0: LatticeWindow,
     # the state stays a grid between steps; only the returned states
     # become windows
     steps = implicit_steps(p, cfg, _to_grid_clamped(u0, half_width), n_steps,
-                           "window", forcing_grid(p, half_width, "window"))
+                           "window")
     states = [u0] + [LatticeWindow.from_grid(y, half_width) for y, _ in steps]
     return Trajectory(tuple(states), cfg.eps, params_hash(p))
 
 
 def advance_grid(p: Params, cfg: StepConfig, U: np.ndarray, n_steps: int,
-                 mode: str, f_grid: np.ndarray) -> np.ndarray:
-    """Batched implicit Euler advance of a (batch, dim) array of states."""
-    # each step starts from the last step's solution, whose F(y) is known
-    F = None
-    for _ in range(n_steps):
-        U, _, _, F = _grid.picard_solve(
-            lambda Y: _grid.field(p, Y, f_grid, mode),
-            U, cfg.eps, cfg.fp_tol, cfg.max_iter, F)
+                 mode: str) -> np.ndarray:
+    """U after n_steps implicit Euler steps: one grid or a stack of them."""
+    for U, _ in implicit_steps(p, cfg, U, n_steps, mode):
+        pass
     return U
 
 
@@ -172,21 +163,21 @@ def step_count(t: float, dt: float) -> int:
 
 
 def reference_flows(p: Params, Y: np.ndarray, dt: float, n_steps: int,
-                    half_width: int = DEFAULT_HALF_WIDTH) -> np.ndarray:
-    """Reference flows of an (R, n) stack of start grids, n = 2*half_width+1:
-    n_steps of the classical fourth-order one-step method with step dt, as
-    the (R, n) stack of end states.  Each row equals, bit for bit, the
-    integration of that row alone.  Raises NonFinite if any row overflowed."""
+                    mode: str = "window") -> np.ndarray:
+    """End states of n_steps of the classical fourth-order one-step method
+    with step dt, from an (R, 2K+1) stack of start grids of the system
+    ``mode``.  Each row equals, bit for bit, the integration of that row
+    alone.  Raises NonFinite if any row overflowed."""
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[1] != 2 * half_width + 1:
-        raise ValueError("Y must be an (R, 2*half_width+1) stack of grids")
+    if Y.ndim != 2 or Y.shape[1] % 2 == 0:
+        raise ValueError("Y must be an (R, 2K+1) stack of grids")
     if dt <= 0:
         raise ValueError("the step must be positive")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    f_grid = forcing_grid(p, half_width, "window")
+    f_grid = forcing_grid(p, (Y.shape[1] - 1) // 2, mode)
     return _grid.require_finite(_grid.rk4(
-        lambda _t, V: _grid.field(p, V, f_grid, "window"), Y, 0.0, dt, n_steps))
+        lambda _t, V: _grid.field(p, V, f_grid, mode), Y, 0.0, dt, n_steps))
 
 
 def reference_flow(p: Params, u0: LatticeWindow, t: float, dt_ref: float,
@@ -194,19 +185,17 @@ def reference_flow(p: Params, u0: LatticeWindow, t: float, dt_ref: float,
     """Approximate continuous-time flow u(t, u0) by the classical fourth-order
     one-step method with step dt_ref; t must be a multiple of dt_ref."""
     grid = _to_grid_clamped(u0, half_width)
-    out = reference_flows(p, grid[None], dt_ref, step_count(t, dt_ref),
-                          half_width)
+    out = reference_flows(p, grid[None], dt_ref, step_count(t, dt_ref))
     return LatticeWindow.from_grid(out[0], half_width)
 
 
 def defect(p: Params, eps: float, Y: np.ndarray, n_steps: int,
            U_exact: np.ndarray, fp_tol: float = 1e-12) -> float:
     """||U_exact - u^eps_n(Y)|| after n_steps implicit steps from the window
-    grid Y, with U_exact the reference flow from Y at time n_steps*eps."""
-    cfg = StepConfig(eps=eps, fp_tol=fp_tol)
-    half_width = (Y.shape[-1] - 1) // 2
-    out = advance_grid(p, cfg, Y, n_steps, "window",
-                       forcing_grid(p, half_width, "window"))
+    grid Y, with U_exact the reference flow from Y at time n_steps*eps.
+    Refuses eps above eps*."""
+    out = advance_grid(p, StepConfig(eps=eps, fp_tol=fp_tol), Y, n_steps,
+                       "window")
     return float(np.linalg.norm(U_exact - out))
 
 
@@ -225,5 +214,5 @@ def global_error(p: Params, eps: float, y: LatticeWindow, T: float,
     """||u(T, y) - u^eps_{T/eps}(y)|| with T an integer multiple of eps."""
     n = step_count(T, eps)
     Y = _to_grid_clamped(y, half_width)[None]
-    U_exact = reference_flows(p, Y, dt_ref, step_count(T, dt_ref), half_width)
+    U_exact = reference_flows(p, Y, dt_ref, step_count(T, dt_ref))
     return defect(p, eps, Y, n, U_exact, fp_tol)

@@ -1,5 +1,5 @@
-"""Dirichlet-truncated (2m+1)-dimensional system and its embedding back into
-the bi-infinite lattice."""
+"""Dirichlet-truncated (2m+1)-dimensional system and the restriction of
+lattice states to it."""
 
 from __future__ import annotations
 
@@ -93,28 +93,10 @@ def truncated_field(p: Params, x: TruncatedState) -> TruncatedState:
     return TruncatedState(x.m, _grid.field(p, x.values, f_m, "truncated"))
 
 
-def truncated_step_info(p: Params, cfg: StepConfig, x_prev: TruncatedState):
-    """One implicit Euler step of the truncated system, same contraction
-    solve as the infinite system but over R^(2m+1)."""
-    (y, info), = implicit_steps(p, cfg, x_prev.values, 1, "truncated",
-                                truncated_forcing(p, x_prev.m))
-    return TruncatedState(x_prev.m, y), info
-
-
-def truncated_step(p: Params, cfg: StepConfig, x_prev: TruncatedState) -> TruncatedState:
-    return truncated_step_info(p, cfg, x_prev)[0]
-
-
 def truncated_trajectory(p: Params, cfg: StepConfig, x0: TruncatedState,
                          n: int) -> list:
-    steps = implicit_steps(p, cfg, x0.values, n, "truncated",
-                           truncated_forcing(p, x0.m))
+    steps = implicit_steps(p, cfg, x0.values, n, "truncated")
     return [x0] + [TruncatedState(x0.m, y) for y, _ in steps]
-
-
-def null_expansion(x: TruncatedState) -> LatticeWindow:
-    """Zero-pad outside [-m, m]; preserves the l^2 norm."""
-    return LatticeWindow(-x.m, x.values)
 
 
 def restriction(u: LatticeWindow, m: int) -> TruncatedState:

@@ -108,9 +108,7 @@ class TestAttractorClouds:
         ).stabilization_gap
         assert A.meta["steps_evolved"] == (A.meta["rounds"] + 1) * gap
         later = stepping.advance_grid(p, StepConfig(eps=eps), A.points,
-                                      5 * gap, mode,
-                                      stepping.forcing_grid(p, half_width,
-                                                            mode))
+                                      5 * gap, mode)
         moved = hausdorff_sym(A, PointCloud(mode, half_width, later))
         assert moved <= base.stabilization_tol
 
@@ -286,9 +284,9 @@ class TestErrorOrder:
         halved."""
         refs, defects = [], []
 
-        def recording_flows(p, Y, dt, n_steps, K):
-            out = stepping.reference_flows(p, Y, dt, n_steps, K)
-            refs.append((p, Y, dt, n_steps, K, out))
+        def recording_flows(p, Y, dt, n_steps):
+            out = stepping.reference_flows(p, Y, dt, n_steps)
+            refs.append((p, Y, dt, n_steps, out))
             return out
 
         def recording_defect(p, eps, Y, n_steps, U):
@@ -302,8 +300,8 @@ class TestErrorOrder:
         run_error_order(cfg)
         # one global run, then one local run per eps
         assert len(refs) == 1 + len(cfg.grids.eps_error_list)
-        for p, Y, dt, n_steps, K, out in refs:
-            fine = stepping.reference_flows(p, Y, dt / 2, 2 * n_steps, K)
+        for p, Y, dt, n_steps, out in refs:
+            fine = stepping.reference_flows(p, Y, dt / 2, 2 * n_steps)
             for row, fine_row in zip(out, fine):
                 resolved = [d for U, d in defects if U == row.tobytes()]
                 assert resolved
@@ -523,6 +521,41 @@ class TestCli:
         cfg_path.write_text(json.dumps(doc))
         assert main(["--config", str(cfg_path), "--out", str(tmp_path),
                      command]) == 2
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--steps", "-1"],
+        ["simulate", "--eps", "-0.1"],
+        ["simulate", "--amplitude", "nan"],
+        ["simulate", "--steps", "x"],
+        ["attractor", "--eps", "0"],
+        ["ou-path", "--h", "0"],
+        ["ou-path", "--horizon", "-5"],
+    ])
+    def test_bad_subcommand_argument_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path / "out")] + argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("attractor", [
+        {"burn_in": 1}, {"stabilization_gap": 3},
+        {"burn_in": 1, "stabilization_gap": 3}])
+    def test_derived_attractor_lengths_exit_2_before_any_integration(
+            self, tmp_path, monkeypatch, capsys, attractor):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated with a derived length set")
+
+        monkeypatch.setattr(_grid, "rk4", refuse)
+        monkeypatch.setattr(_grid, "picard_solve", refuse)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"attractor": attractor}))
+        with pytest.raises(ConfigError, match="derived"):
+            load_config(str(cfg_path))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path),
+                     "attractor", "--eps", "0.01"]) == 2
+        assert "ceil(2/(eps*(lam - lam*)))" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_negative_seed_exits_2(self, tmp_path):

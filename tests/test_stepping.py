@@ -16,7 +16,6 @@ from bhlattice import (
     StepTooLarge,
     derived_constants,
     global_error,
-    implicit_step,
     implicit_step_info,
     l_bound,
     local_error,
@@ -87,12 +86,12 @@ class TestImplicitStep:
         dc = derived_constants(params)
         cfg = StepConfig(eps=2 * dc.eps_star)
         with pytest.raises(StepTooLarge):
-            implicit_step(params, cfg, LatticeWindow.basis(0, 0.1), 16)
+            implicit_step_info(params, cfg, LatticeWindow.basis(0, 0.1), 16)
 
     def test_no_convergence_reports_iterations(self, params):
         cfg = StepConfig(eps=0.02, max_iter=1, enforce_eps_star=False)
         with pytest.raises(NoConvergence) as exc:
-            implicit_step(params, cfg, LatticeWindow.basis(0, 0.9), 16)
+            implicit_step_info(params, cfg, LatticeWindow.basis(0, 0.9), 16)
         assert exc.value.iterations == 1
 
     def test_positive_invariance(self, params):
@@ -103,14 +102,16 @@ class TestImplicitStep:
             raw = rng.standard_normal(17)
             raw *= dc.r_star * rng.random() / np.linalg.norm(raw)
             u = LatticeWindow(-8, raw)
-            out = implicit_step(params, cfg, u, 24)
+            out, _ = implicit_step_info(params, cfg, u, 24)
             assert out.norm() <= dc.r_star + 10 * cfg.fp_tol
 
     def test_newton_mode_agrees_with_picard(self, params):
         u_prev = LatticeWindow.basis(0, 0.3)
-        a = implicit_step(params, StepConfig(eps=0.01, fp_tol=1e-13), u_prev, 16)
-        b = implicit_step(params, StepConfig(eps=0.01, fp_tol=1e-13,
-                                             method="newton"), u_prev, 16)
+        a, _ = implicit_step_info(params, StepConfig(eps=0.01, fp_tol=1e-13),
+                                  u_prev, 16)
+        b, _ = implicit_step_info(params, StepConfig(eps=0.01, fp_tol=1e-13,
+                                                     method="newton"),
+                                  u_prev, 16)
         assert (a - b).norm() <= 1e-11
 
     @pytest.mark.parametrize("factor", [2.0, 5.0, 20.0])
@@ -190,7 +191,7 @@ class TestTrajectory:
         # the same states, bit for bit, as stepping one implicit step at a time
         u = u0
         for state in traj.states[1:]:
-            u = implicit_step(params, cfg, u, 16)
+            u, _ = implicit_step_info(params, cfg, u, 16)
             assert u == state
 
 
@@ -200,7 +201,7 @@ class TestTrajectory:
         traj = run_trajectory(FORCED, cfg, u0, 40, 16)
         u = u0
         for state in traj.states[1:]:
-            u = implicit_step(FORCED, cfg, u, 16)
+            u, _ = implicit_step_info(FORCED, cfg, u, 16)
             assert (u.offset, u.values.tobytes()) == \
                 (state.offset, state.values.tobytes())
 
@@ -233,7 +234,7 @@ class TestTrajectory:
         traj = run_trajectory(params, cfg, u0, 5, 16)
         u = u0
         for state in traj.states[1:]:
-            u = implicit_step(params, cfg, u, 16)
+            u, _ = implicit_step_info(params, cfg, u, 16)
             assert u.values.tobytes() == state.values.tobytes()
         # the Newton path never enters the Picard solve
         monkeypatch.setattr(_grid, "picard_solve", None)
@@ -246,7 +247,7 @@ class TestAbsorbingBallWarning:
         cfg = StepConfig(eps=0.01)
         outside = LatticeWindow.basis(0, 1.01 * dc.r_star)
         with pytest.warns(RuntimeWarning, match="outside the absorbing ball"):
-            implicit_step(params, cfg, outside, 16)
+            implicit_step_info(params, cfg, outside, 16)
         with pytest.warns(RuntimeWarning, match="outside the absorbing ball"):
             run_trajectory(params, cfg, outside, 3, 16)
 
@@ -256,8 +257,86 @@ class TestAbsorbingBallWarning:
         inside = LatticeWindow.basis(0, 0.99 * dc.r_star)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            implicit_step(params, cfg, inside, 16)
+            implicit_step_info(params, cfg, inside, 16)
             run_trajectory(params, cfg, inside, 3, 16)
+
+
+@st.composite
+def step_stacks(draw):
+    """(U, n_steps, eps, mode): 1-4 rows inside the absorbing ball, 1-4
+    steps, a step at or below eps* and a boundary closure."""
+    K = draw(st.integers(1, 6))
+    R = draw(st.integers(1, 4))
+    U = draw(hnp.arrays(np.float64, (R, 2 * K + 1),
+                        elements=st.floats(-0.4, 0.4)))
+    eps = draw(st.sampled_from([derived_constants(FORCED).eps_star, 5e-3,
+                                1e-3]))
+    return (U, draw(st.integers(1, 4)), eps,
+            draw(st.sampled_from(["window", "truncated"])))
+
+
+class TestStacks:
+    """One loop steps a single grid and a stack of grids."""
+
+    @PROPERTY
+    @given(step_stacks())
+    def test_each_row_is_its_own_single_state_run(self, stack):
+        # a stack iterates every row until its worst row converges, so each
+        # row equals, bit for bit, the row alone iterated that many times,
+        # and a stack of copies equals the single-state run itself
+        U, n_steps, eps, mode = stack
+        cfg = StepConfig(eps=eps)
+        steps = list(stepping.implicit_steps(FORCED, cfg, U, n_steps, mode))
+        got = steps[-1][0]
+        f_grid = stepping.forcing_grid(FORCED, (U.shape[1] - 1) // 2, mode)
+        for r, row in enumerate(U):
+            y, F = row, _grid.field(FORCED, row, f_grid, mode)
+            for _, info in steps:
+                start = y
+                for _ in range(info.iterations):
+                    y = start + eps * F
+                    F = _grid.field(FORCED, y, f_grid, mode)
+            assert got[r].tobytes() == y.tobytes()
+        alone = stepping.advance_grid(FORCED, cfg, U[0], n_steps, mode)
+        copies = stepping.advance_grid(FORCED, cfg, np.tile(U[0], (3, 1)),
+                                       n_steps, mode)
+        for row in copies:
+            assert row.tobytes() == alone.tobytes()
+
+    def test_newton_refuses_a_stack(self):
+        cfg = StepConfig(eps=0.01, method="newton")
+        with pytest.raises(ValueError, match="single grid"):
+            stepping.advance_grid(FORCED, cfg, np.zeros((2, 9)), 1, "window")
+
+    def test_errors_above_the_step_cap_are_refused_before_solving(
+            self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved above eps*")
+
+        monkeypatch.setattr(_grid, "picard_solve", refuse)
+        eps = 2 * derived_constants(FORCED).eps_star
+        y = LatticeWindow(-1, [0.3, -0.5, 0.2])
+        Y = y.to_grid(8)
+        with pytest.raises(StepTooLarge):
+            stepping.defect(FORCED, eps, Y, 1, Y)
+        with pytest.raises(StepTooLarge):
+            local_error(FORCED, eps, y, eps / 10, 8)
+        with pytest.raises(StepTooLarge):
+            global_error(FORCED, eps, y, 2 * eps, eps / 10, 8)
+
+    def test_warns_once_for_a_start_row_outside_the_ball(self):
+        r_star = derived_constants(FORCED).r_star
+        U = np.zeros((3, 9))
+        cfg = StepConfig(eps=0.005)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stepping.advance_grid(FORCED, cfg, U, 3, "window")
+        U[1, 4] = 1.01 * r_star
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stepping.advance_grid(FORCED, cfg, U, 3, "window")
+        assert ["outside the absorbing ball" in str(w.message)
+                for w in caught] == [True]
 
 
 class TestReferenceFlow:
@@ -309,7 +388,7 @@ class TestReferenceFlows:
     @example((np.linspace(-0.5, 0.5, 9).reshape(3, 3), 2.5e-3, 12, 1))
     def test_each_snapshot_equals_its_row_integrated_alone(self, stack):
         Y, dt, n_steps, K = stack
-        got = stepping.reference_flows(FORCED, Y, dt, n_steps, K)
+        got = stepping.reference_flows(FORCED, Y, dt, n_steps)
         assert got.shape == Y.shape
         f_grid = FORCED.f.to_grid(K)
         for r, row in enumerate(Y):
@@ -323,7 +402,7 @@ class TestReferenceFlows:
         Y[:, 4] = [0.1, 1e3, 0.2]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFinite, match="integrator state overflowed"):
-                stepping.reference_flows(FORCED, Y, 0.1, 20, 4)
+                stepping.reference_flows(FORCED, Y, 0.1, 20)
 
     @pytest.mark.parametrize("Y, dt, n_steps", [
         pytest.param(np.zeros(9), 0.01, 1, id="one-grid-not-a-stack"),
@@ -333,11 +412,11 @@ class TestReferenceFlows:
     ])
     def test_rejects_malformed_rows(self, Y, dt, n_steps):
         with pytest.raises(ValueError):
-            stepping.reference_flows(FORCED, Y, dt, n_steps, 4)
+            stepping.reference_flows(FORCED, Y, dt, n_steps)
 
     def test_rejects_grids_of_the_wrong_width(self):
         with pytest.raises(ValueError):
-            stepping.reference_flows(FORCED, np.zeros((2, 7)), 0.01, 1, 4)
+            stepping.reference_flows(FORCED, np.zeros((2, 8)), 0.01, 1)
 
 
 class TestClampedGrid:
@@ -370,7 +449,8 @@ class TestDiscretizationError:
 
     def test_local_error_is_the_one_step_global_error(self):
         y = LatticeWindow(-1, [0.3, -0.5, 0.2])
-        for eps in (0.02, 0.01):
+        # both steps at most eps* = 0.01026
+        for eps in (0.01, 0.005):
             local = local_error(FORCED, eps, y, eps / 100, 16)
             assert local > 0.0
             assert local.hex() == \

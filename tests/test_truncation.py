@@ -15,17 +15,16 @@ from bhlattice import (
     d_plus_m,
     d_plus_matrix,
     derived_constants,
-    implicit_step,
+    implicit_step_info,
     laplacian_m,
     laplacian_matrix,
-    null_expansion,
     restriction,
     truncated_field,
-    truncated_step,
     truncated_trajectory,
     vector_field,
 )
 from bhlattice import _grid
+from bhlattice.attractor import PointCloud, embed_cloud
 from bhlattice.truncation import truncated_forcing
 
 
@@ -37,6 +36,12 @@ def params():
 
 def random_state(rng, m, scale=1.0):
     return TruncatedState(m, scale * rng.standard_normal(2 * m + 1))
+
+
+def null_expansion(x: TruncatedState) -> LatticeWindow:
+    """x zero-padded outside [-m, m], through the cloud embedding."""
+    cloud = PointCloud("truncated", x.m, x.values[None])
+    return embed_cloud(cloud, x.m).windows()[0]
 
 
 class TestMatrices:
@@ -118,14 +123,14 @@ class TestStepping:
         x = restriction(u, m)
         states = truncated_trajectory(params, cfg, x, 50)
         for state in states[1:]:
-            u = implicit_step(params, cfg, u, m + 8)
+            u, _ = implicit_step_info(params, cfg, u, m + 8)
             diff = null_expansion(state) - u
             assert diff.norm() <= 1e-8
 
     def test_zero_with_zero_forcing_is_fixed(self):
         p = Params(nu=1.0, alpha=1.0, beta=1.0, gamma=0.5, lam=8.0)
         x = TruncatedState(3, np.zeros(7))
-        assert truncated_step(p, StepConfig(eps=0.01), x) == x
+        assert truncated_trajectory(p, StepConfig(eps=0.01), x, 1)[1] == x
 
     def test_trajectory_length(self, params):
         x = TruncatedState(2, 0.1 * np.ones(5))
@@ -140,7 +145,7 @@ class TestStepping:
         x = random_state(np.random.default_rng(31), 6, scale=0.3)
         states = truncated_trajectory(params, cfg, x, 30)
         for state in states[1:]:
-            x = truncated_step(params, cfg, x)
+            x = truncated_trajectory(params, cfg, x, 1)[1]
             assert x.values.tobytes() == state.values.tobytes()
 
     def test_field_of_each_solution_carries_over(self, params, monkeypatch):
@@ -173,7 +178,7 @@ class TestAbsorbingBallWarning:
         cfg = StepConfig(eps=0.01)
         outside = TruncatedState(3, np.full(7, 1.01 * r_star / np.sqrt(7)))
         with pytest.warns(RuntimeWarning, match="outside the absorbing ball"):
-            truncated_step(params, cfg, outside)
+            truncated_trajectory(params, cfg, outside, 1)
         with pytest.warns(RuntimeWarning, match="outside the absorbing ball"):
             truncated_trajectory(params, cfg, outside, 3)
 
@@ -183,7 +188,7 @@ class TestAbsorbingBallWarning:
         inside = TruncatedState(3, np.full(7, 0.99 * r_star / np.sqrt(7)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            truncated_step(params, cfg, inside)
+            truncated_trajectory(params, cfg, inside, 1)
             truncated_trajectory(params, cfg, inside, 3)
 
 
