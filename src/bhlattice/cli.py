@@ -87,6 +87,10 @@ def _checked(convert, ok):
     return number
 
 
+# longest path ``ou-path`` samples: the path is generated one sample at a
+# time and written as JSON text, about 20 bytes a sample
+OU_PATH_MAX_SAMPLES = 10**6
+
 # study subcommands: name -> (runner, help); each writes its one table
 STUDIES = {
     "converge-eps": (run_eps_convergence, "time-step convergence study"),
@@ -189,6 +193,11 @@ def _dispatch(args, cfg: ExperimentConfig) -> int:
         _emit(STUDIES[cmd][0](cfg), cfg.output_dir, args.format)
         return 0
     if cmd == "ou-path":
+        if args.horizon / args.h > OU_PATH_MAX_SAMPLES:
+            raise ConfigError(
+                f"--horizon {args.horizon:g} at --h {args.h:g} takes "
+                f"{args.horizon / args.h:.4g} samples, above the sample "
+                f"budget of {OU_PATH_MAX_SAMPLES}")
         path = ou_path(cfg.master_seed, -args.horizon, 0.0, args.h)
         _write(cfg.output_dir, "ou_path.json", ou_path_to_json(path))
         return 0

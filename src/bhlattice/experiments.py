@@ -18,12 +18,13 @@ from . import __version__
 from .attractor import (AttractorConfig, PointCloud, attractor_approx,
                         cloud_norm, embed_cloud, hausdorff_semi,
                         hausdorff_sym, sample_ball, tail_profile)
-from .errors import (ConfigError, DissipativityViolation, NonFinite, _is_int,
-                     _is_real)
-from .lattice import (LatticeWindow, Params, derived_constants, l_bound,
-                      m_bound)
-from .stepping import (StepConfig, advance_grid, defect, implicit_step_info,
-                       params_hash, reference_flows, step_count)
+from .errors import (ConfigError, DissipativityViolation, NoConvergence,
+                     NonFinite, _is_int, _is_real)
+from .lattice import (LatticeWindow, Params, contraction_bound,
+                      derived_constants, l_bound, m_bound)
+from .stepping import (StepConfig, advance_grid, check_step, defect,
+                       equilibrium, implicit_step_info, params_hash,
+                       reference_flows, step_count)
 from .stochastic import NoiseConfig, absorbing_radius, pullback_batch
 
 # attraction happens on the time scale 1/(lam - lam*); a stabilization
@@ -233,8 +234,10 @@ def attractor_config_for_eps(base: AttractorConfig, eps: float,
 def implicit_attractor(p: Params, eps: float, base: AttractorConfig,
                        half_width: int, mode: str = "window",
                        fp_tol: float = 1e-10) -> PointCloud:
-    """Attractor cloud of the implicit Euler system at step eps."""
+    """Attractor cloud of the implicit Euler system at step eps; refuses eps
+    above eps* (StepTooLarge) before any solve, on either path."""
     step_cfg = StepConfig(eps=eps, fp_tol=fp_tol)
+    check_step(derived_constants(p), step_cfg)
     return _evolved_attractor(
         p, eps, base, half_width, mode,
         lambda U, n: advance_grid(p, step_cfg, U, n, mode),
@@ -251,16 +254,36 @@ def flow_attractor(p: Params, dt: float, base: AttractorConfig,
         {"dt": dt, "mode": mode, "flow": True})
 
 
+def point_certificate(p: Params, dc) -> tuple[float, float]:
+    """(R, mu): R = ||f||/(lam - lam*), the radius of a forward-invariant
+    ball that holds every attractor of the flow, of implicit Euler at any
+    eps <= eps* and of the truncated systems, and mu = contraction_bound(p,
+    R).  If mu < 0 they all contract on that ball, so each attractor is the
+    one zero of the field."""
+    R = p.f.norm() / (p.lam - dc.lambda_star)
+    return R, contraction_bound(p, R)
+
+
 def _evolved_attractor(p: Params, step: float, base: AttractorConfig,
                        half_width: int, mode: str, advance,
                        meta: dict) -> PointCloud:
-    """Cloud of the system ``mode`` over the sites |i| <= half_width, evolved
-    from the absorbing ball by ``advance(U, n)``, with burn-in and gap
-    scaled to the step."""
+    """Attractor cloud of the system ``mode`` over the sites |i| <=
+    half_width.  Refuses a round over the budget first.  A certified config
+    (``point_certificate``) gives the one-row cloud at the Newton zero of the
+    field; any other is evolved from the absorbing ball by ``advance(U,
+    n)``, with burn-in and gap scaled to the step."""
     dc = derived_constants(p)
     acfg = attractor_config_for_eps(base, step, p.lam - dc.lambda_star)
-    return attractor_approx(advance, acfg, dc.r_star, mode, half_width,
-                            meta=meta)
+    R, mu = point_certificate(p, dc)
+    meta = {**meta, "certified": mu < 0, "mu_bound": mu, "R": R}
+    if mu >= 0:
+        return attractor_approx(advance, acfg, dc.r_star, mode, half_width,
+                                meta=meta)
+    u, max_F, iterations = equilibrium(p, half_width, mode)
+    return PointCloud(mode, half_width, u[None], meta={
+        "seed": base.seed, "steps_evolved": 0, "rounds": 0,
+        "stabilized_distance": None, "contraction_ratio": None, **meta,
+        "max_F": max_F, "newton_iterations": iterations})
 
 
 # -- experiment runners -----------------------------------------------------
@@ -479,9 +502,11 @@ def _random_window(rng, half, radius) -> LatticeWindow:
 def verify(cfg: ExperimentConfig) -> tuple[bool, dict]:
     """Check that the implicit-Euler theory covers this configuration:
     lam exceeds lam* (``dissipativity``), every eps in grids.eps_list is at
-    most eps* (``step_cap``), and sampled steps from the absorbing ball meet
-    the solver contract (``solver_contract``).  Stops at the first failing
-    check; returns (ok, report)."""
+    most eps* (``step_cap``), sampled steps from the absorbing ball meet
+    the solver contract (``solver_contract``), and, if the attractor is
+    certified to be one point, Newton finds it on the window
+    (``point_attractor``).  Stops at the first failing check; returns (ok,
+    report)."""
     checks = []
 
     def record(name, ok, witness=None):
@@ -539,4 +564,25 @@ def verify(cfg: ExperimentConfig) -> tuple[bool, dict]:
     record("solver_contract", ok, {"max_residual": worst_res,
                                    "max_iterations": worst_iters,
                                    "iteration_cap": cap})
+    if not ok:
+        return report()
+
+    # a certified config's attractors are the one zero of the field, which
+    # Newton must find
+    R, mu = point_certificate(p, dc)
+    witness = {"certified": mu < 0, "mu_bound": mu, "R": R,
+               "newton_iterations": None, "max_F": None}
+    ok = True
+    if mu < 0:
+        try:
+            _, witness["max_F"], witness["newton_iterations"] = equilibrium(
+                p, cfg.window_half_width, "window")
+        except NoConvergence as exc:
+            ok = False
+            witness["max_F"] = exc.residual
+            witness["newton_iterations"] = exc.iterations
+        except NonFinite as exc:
+            ok = False
+            witness["error"] = str(exc)
+    record("point_attractor", ok, witness)
     return report()

@@ -8,14 +8,19 @@ import hashlib
 import warnings
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from . import _grid
-from .errors import StepTooLarge
+from .errors import NoConvergence, NonFinite, StepTooLarge
 from .lattice import LatticeWindow, Params, derived_constants
 
 DEFAULT_HALF_WIDTH = 128
 # tail mass silently lost to window clamping before a warning is emitted
 CLIP_MASS_WARN = 1e-14
+# Newton on F(u) = 0 stops at this max-norm residual, or fails after
+# EQUILIBRIUM_MAX_ITER iterations
+EQUILIBRIUM_TOL = 1e-13
+EQUILIBRIUM_MAX_ITER = 50
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,6 +85,13 @@ def _to_grid_clamped(u: LatticeWindow, half_width: int) -> np.ndarray:
     return u.to_grid(half_width)
 
 
+def check_step(dc, cfg: StepConfig):
+    """StepTooLarge if cfg's eps exceeds eps* and cfg enforces the cap."""
+    if cfg.enforce_eps_star and not dc.allows_step(cfg.eps):
+        raise StepTooLarge(
+            f"eps={cfg.eps} exceeds the contraction-safe cap {dc.eps_star}")
+
+
 def implicit_steps(p: Params, cfg: StepConfig, Y: np.ndarray, n_steps: int,
                    mode: str):
     """Yield (Y, StepInfo) for each of n_steps implicit Euler steps
@@ -99,9 +111,7 @@ def implicit_steps(p: Params, cfg: StepConfig, Y: np.ndarray, n_steps: int,
     if not n_steps:
         return
     dc = derived_constants(p)
-    if cfg.enforce_eps_star and not dc.allows_step(cfg.eps):
-        raise StepTooLarge(
-            f"eps={cfg.eps} exceeds the contraction-safe cap {dc.eps_star}")
+    check_step(dc, cfg)
     if np.max(_grid.row_norms(Y)) > dc.r_star * (1.0 + 1e-12):
         warnings.warn(
             "initial state lies outside the absorbing ball; the "
@@ -213,6 +223,31 @@ def global_error(p: Params, eps: float, y: LatticeWindow, T: float,
                  fp_tol: float = 1e-12) -> float:
     """||u(T, y) - u^eps_{T/eps}(y)|| with T an integer multiple of eps."""
     n = step_count(T, eps)
+    # refuse before the reference run, which does not depend on eps
+    check_step(derived_constants(p), StepConfig(eps=eps, fp_tol=fp_tol))
     Y = _to_grid_clamped(y, half_width)[None]
     U_exact = reference_flows(p, Y, dt_ref, step_count(T, dt_ref))
     return defect(p, eps, Y, n, U_exact, fp_tol)
+
+
+def equilibrium(p: Params, half_width: int, mode: str = "window"):
+    """Zero u* of the field of the system ``mode`` on the sites |i| <=
+    half_width, by Newton from u = 0 on the field's tridiagonal Jacobian.
+
+    Returns (u*, max|F(u*)|, iterations).  Stops once max|F| <=
+    EQUILIBRIUM_TOL; raises NoConvergence after EQUILIBRIUM_MAX_ITER
+    iterations and NonFinite if an iterate overflows."""
+    f_grid = forcing_grid(p, half_width, mode)
+    u = np.zeros(2 * half_width + 1)
+    it = 0
+    while True:
+        F = _grid.field(p, u, f_grid, mode)
+        resid = float(np.max(np.abs(F)))
+        if not np.isfinite(resid):
+            raise NonFinite("Newton iterate overflowed")
+        if resid <= EQUILIBRIUM_TOL:
+            return u, resid, it
+        if it == EQUILIBRIUM_MAX_ITER:
+            raise NoConvergence(it, resid)
+        u = u - solve_banded((1, 1), _grid.field_jacobian(p, u, mode), F)
+        it += 1

@@ -10,12 +10,15 @@ from bhlattice import (
     ConfigError,
     GridConfig,
     LatticeWindow,
+    NoConvergence,
     NoiseConfig,
     NonFinite,
     PointCloud,
     ResultTable,
     StepConfig,
     StepTooLarge,
+    attractor_approx,
+    contraction_bound,
     default_config,
     default_params,
     derived_constants,
@@ -30,7 +33,7 @@ from bhlattice import (
     verify,
     write_table,
 )
-from bhlattice import _grid, experiments, stepping
+from bhlattice import _grid, cli, experiments, stepping
 from bhlattice.cli import load_config, main
 from bhlattice.experiments import (
     attractor_config_for_eps,
@@ -100,9 +103,12 @@ class TestAttractorClouds:
                                                   (8, "truncated")])
     def test_stopped_cloud_moves_at_most_tol_afterwards(self, half_width,
                                                         mode):
-        p, eps = default_params(), 0.01
+        # twice the forcing is not certified (mu(R) > 0), so the cloud is
+        # evolved; eps* = 0.0058 there
+        p, eps = default_params(f_scale=2.0), 0.005
         base = self.acceptance_attractor_cfg()
         A = experiments.implicit_attractor(p, eps, base, half_width, mode)
+        assert A.meta["certified"] is False
         gap = attractor_config_for_eps(
             base, eps, p.lam - derived_constants(p).lambda_star
         ).stabilization_gap
@@ -111,6 +117,82 @@ class TestAttractorClouds:
                                       5 * gap, mode)
         moved = hausdorff_sym(A, PointCloud(mode, half_width, later))
         assert moved <= base.stabilization_tol
+
+    @pytest.mark.parametrize("half_width, mode", [(16, "window"),
+                                                  (8, "truncated")])
+    def test_certified_point_is_fixed_by_the_steps(self, half_width, mode):
+        p, eps = default_params(), 0.01
+        base = self.acceptance_attractor_cfg()
+        A = experiments.implicit_attractor(p, eps, base, half_width, mode)
+        assert len(A) == 1
+        assert A.meta["certified"] is True
+        assert A.meta["mu_bound"] == contraction_bound(p, 1.0) < 0
+        assert A.meta["R"] == 1.0
+        assert (A.meta["steps_evolved"], A.meta["rounds"],
+                A.meta["contraction_ratio"]) == (0, 0, None)
+        assert A.meta["max_F"] <= stepping.EQUILIBRIUM_TOL
+        assert 1 <= A.meta["newton_iterations"] <= 10
+        gap = attractor_config_for_eps(
+            base, eps, p.lam - derived_constants(p).lambda_star
+        ).stabilization_gap
+        later = stepping.advance_grid(p, StepConfig(eps=eps), A.points,
+                                      5 * gap, mode)
+        moved = hausdorff_sym(A, PointCloud(mode, half_width, later))
+        assert moved <= base.stabilization_tol
+
+    @pytest.mark.parametrize("half_width, mode", [(64, "window"),
+                                                  (8, "truncated")])
+    def test_certified_point_lies_within_tol_of_the_evolved_cloud(
+            self, half_width, mode):
+        """At the acceptance config the Newton zero is within tol of the
+        cloud that the evolve-until-stable path stops at."""
+        p, eps = default_params(), 0.01
+        base = self.acceptance_attractor_cfg()
+        dc = derived_constants(p)
+        acfg = attractor_config_for_eps(base, eps, p.lam - dc.lambda_star)
+        step_cfg = StepConfig(eps=eps)
+        cloud = attractor_approx(
+            lambda U, n: stepping.advance_grid(p, step_cfg, U, n, mode),
+            acfg, dc.r_star, mode, half_width)
+        point = experiments.implicit_attractor(p, eps, base, half_width, mode)
+        assert len(cloud) == base.sample_count and len(point) == 1
+        assert hausdorff_sym(cloud, point) <= base.stabilization_tol
+
+    def test_uncertified_config_builds_its_cloud_through_attractor_approx(
+            self, monkeypatch):
+        p = default_params(f_scale=2.0)
+        dc = derived_constants(p)
+        assert experiments.point_certificate(p, dc) == (
+            2.0, pytest.approx(0.0327, abs=1e-4))
+        assert dc.eps_star == pytest.approx(0.00578, abs=1e-5)
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args[3])
+            return attractor_approx(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "attractor_approx", counting)
+        base = AttractorConfig(sample_count=4, seed=0)
+        A = experiments.implicit_attractor(p, 0.005, base, 4)
+        F = experiments.flow_attractor(p, 0.005, base, 4, mode="truncated")
+        assert built == ["window", "truncated"]
+        for cloud in (A, F):
+            assert len(cloud) == 4 and cloud.meta["steps_evolved"] > 0
+            assert cloud.meta["certified"] is False
+            assert cloud.meta["mu_bound"] > 0 and cloud.meta["R"] == 2.0
+
+    def test_step_above_cap_is_refused_on_the_certified_path(
+            self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated the field above eps*")
+
+        monkeypatch.setattr(_grid, "field", refuse)
+        p = default_params()
+        dc = derived_constants(p)
+        assert experiments.point_certificate(p, dc)[1] < 0
+        with pytest.raises(StepTooLarge):
+            experiments.implicit_attractor(p, 2 * dc.eps_star,
+                                           AttractorConfig(sample_count=2), 4)
 
     def test_round_over_budget_is_refused_before_any_step(self, tmp_path,
                                                           monkeypatch):
@@ -320,7 +402,8 @@ class TestVerify:
         assert ok, f"failed checks: {failed}"
         assert "config_hash" in report
         assert [c["check"] for c in report["checks"]] == \
-            ["dissipativity", "step_cap", "solver_contract"]
+            ["dissipativity", "step_cap", "solver_contract",
+             "point_attractor"]
         cfg = default_config()
         dc = cfg.validate()
         step_cap = report["checks"][1]["witness"]
@@ -329,6 +412,45 @@ class TestVerify:
         assert step_cap["contraction_factor"] == \
             max(cfg.grids.eps_list) * l_bound(cfg.params, dc.r_star + 1.0)
         assert step_cap["contraction_factor"] < 1.0
+        point = report["checks"][3]["witness"]
+        assert point["certified"] is True
+        assert point["R"] == 1.0
+        assert point["mu_bound"] == pytest.approx(-1.3193, abs=1e-4)
+        assert point["max_F"] <= stepping.EQUILIBRIUM_TOL
+        assert 1 <= point["newton_iterations"] <= 10
+
+    def test_uncertified_config_passes_point_attractor_unsolved(
+            self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved for an uncertified point")
+
+        monkeypatch.setattr(experiments, "equilibrium", refuse)
+        cfg = default_config(params=default_params(f_scale=2.0))
+        cfg.grids = GridConfig(eps_list=(0.005,))
+        ok, report = verify(cfg)
+        assert ok
+        check = report["checks"][-1]
+        assert check["check"] == "point_attractor"
+        witness = check["witness"]
+        assert (witness["certified"], witness["R"],
+                witness["newton_iterations"], witness["max_F"]) == \
+            (False, 2.0, None, None)
+        assert witness["mu_bound"] > 0
+
+    def test_certified_newton_failure_fails_point_attractor(
+            self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NoConvergence(50, 3e-9)
+
+        monkeypatch.setattr(experiments, "equilibrium", fail)
+        ok, report = verify(default_config())
+        assert not ok
+        check = report["checks"][-1]
+        assert (check["check"], check["status"]) == ("point_attractor", "fail")
+        assert check["witness"]["certified"] is True
+        assert (check["witness"]["newton_iterations"],
+                check["witness"]["max_F"]) == (50, 3e-9)
+        json.dumps(report)
 
 
 class TestCli:
@@ -340,6 +462,20 @@ class TestCli:
         lines = (tmp_path / "simulate.csv").read_text().splitlines()
         assert lines[0] == "step,norm"
         assert len(lines) == 7
+
+    @pytest.mark.parametrize("horizon, h", [("1", "1e-300"),
+                                            ("100", "1e-7"), ("10", "1e-6")])
+    def test_ou_path_over_the_sample_budget_exits_2(self, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     horizon, h):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled a path over the budget")
+
+        monkeypatch.setattr(cli, "ou_path", refuse)
+        assert main(["--out", str(tmp_path / "out"), "ou-path",
+                     "--horizon", horizon, "--h", h]) == 2
+        assert "sample budget" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_ou_path_subcommand(self, tmp_path):
         rc = main(["--out", str(tmp_path), "ou-path", "--horizon", "5",
@@ -395,18 +531,38 @@ class TestCli:
         assert (cfg.attractor.seed, cfg.attractor.sample_count) == (99, 3)
         assert (cfg.noise.master_seed, cfg.noise.realizations) == (99, 2)
 
-    def test_seed_override_changes_the_attractor_cloud(self, tmp_path):
+    @staticmethod
+    def seeded_clouds(tmp_path, doc, eps):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"attractor": {"sample_count": 2},
-                                        "window_half_width": 4}))
+        cfg_path.write_text(json.dumps(doc))
         clouds = []
         for seed in (5, 7):
             out = tmp_path / str(seed)
             assert main(["--config", str(cfg_path), "--seed", str(seed),
-                         "--out", str(out), "attractor", "--eps", "0.01"]) == 0
-            doc = json.loads((out / "cloud_eps0.01.json").read_text())
-            clouds.append(doc["points"])
+                         "--out", str(out), "attractor", "--eps", eps]) == 0
+            clouds.append(json.loads(
+                (out / f"cloud_eps{eps}.json").read_text()))
+        return clouds
+
+    def test_seed_override_changes_the_attractor_cloud(self, tmp_path):
+        # twice the forcing: not certified, so the cloud is evolved from
+        # the seed's ball sample
+        clouds = self.seeded_clouds(tmp_path, {
+            "params": {"f": {"offset": 0, "values": [2.875]}},
+            "attractor": {"sample_count": 2}, "window_half_width": 4},
+            "0.005")
+        assert [c["meta"]["certified"] for c in clouds] == [False, False]
+        clouds = [c["points"] for c in clouds]
         assert clouds[0] != clouds[1]
+
+    def test_certified_attractor_does_not_depend_on_the_seed(self, tmp_path):
+        clouds = self.seeded_clouds(tmp_path, {
+            "attractor": {"sample_count": 2}, "window_half_width": 4},
+            "0.01")
+        assert [c["meta"]["certified"] for c in clouds] == [True, True]
+        assert [c["meta"]["seed"] for c in clouds] == [5, 7]
+        assert clouds[0]["points"] == clouds[1]["points"]
+        assert len(clouds[0]["points"]) == 1
 
     def test_yaml_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
@@ -561,23 +717,26 @@ class TestCli:
     def test_negative_seed_exits_2(self, tmp_path):
         assert main(["--seed", "-1", "--out", str(tmp_path), "verify"]) == 2
 
-    def test_every_subcommand_runs_at_a_tiny_config(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "grids": {"eps_list": [0.01], "eps_error_list": [0.02, 0.01],
+    TINY = {"grids": {"eps_list": [0.01], "eps_error_list": [0.02, 0.01],
                       "m_list": [2, 4], "sigma_list": [0.1, 0.0]},
             "attractor": {"sample_count": 2},
             "noise": {"realizations": 2, "pullback_T": 1.0},
             "reference": {"eps_ref": 0.002},
-            "window_half_width": 8, "noise_m": 4, "pullback_points": 2}))
+            "window_half_width": 8, "noise_m": 4, "pullback_points": 2}
+    TABLES = {"converge-eps": "eps_convergence",
+              "converge-dim": "dim_convergence",
+              "converge-noise": "noise_convergence",
+              "error-order": "error_order", "bounds": "bounds"}
+
+    def run_every_subcommand(self, tmp_path, capsys, doc, eps):
+        """Run the attractor subcommand at eps and every study; returns the
+        cloud's meta and a reader of each table's steps_evolved."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        tables = {"converge-eps": "eps_convergence",
-                  "converge-dim": "dim_convergence",
-                  "converge-noise": "noise_convergence",
-                  "error-order": "error_order", "bounds": "bounds"}
-        runs = [(["attractor", "--eps", "0.01"], ["cloud_eps0.01.json"])] + [
+        runs = [(["attractor", "--eps", eps], [f"cloud_eps{eps}.json"])] + [
             ([cmd], [f"{name}.csv", f"{name}.meta.json"])
-            for cmd, name in tables.items()]
+            for cmd, name in self.TABLES.items()]
         for argv, files in runs:
             assert main(["--config", str(cfg_path), "--out", str(out)]
                         + argv) == 0, argv
@@ -586,21 +745,47 @@ class TestCli:
                 assert (out / name).is_file(), name
                 assert str(out / name) in printed
         assert len(os.listdir(out)) == 11
-        # every cloud says how it stopped, every table how long each of its
-        # clouds was evolved
-        meta = json.loads((out / "cloud_eps0.01.json").read_text())["meta"]
-        assert meta["steps_evolved"] == (meta["rounds"] + 1) * 140
-        assert {"stabilized_distance", "contraction_ratio"} <= set(meta)
 
         def steps(name):
             return json.loads(
                 (out / f"{name}.meta.json").read_text())["steps_evolved"]
 
+        meta = json.loads((out / f"cloud_eps{eps}.json").read_text())["meta"]
+        return meta, steps
+
+    def test_every_subcommand_runs_at_a_tiny_config(self, tmp_path, capsys):
+        # twice the forcing, so the clouds are evolved; eps* = 0.0058 there
+        doc = dict(self.TINY, params={"f": {"offset": 0, "values": [2.875]}},
+                   grids=dict(self.TINY["grids"], eps_list=[0.005]),
+                   reference={"eps_ref": 0.001})
+        meta, steps = self.run_every_subcommand(tmp_path, capsys, doc,
+                                                "0.005")
+        # every cloud says how it stopped, every table how long each of its
+        # clouds was evolved; a round is ceil(2/(0.005 * 1.4375)) steps
+        assert meta["certified"] is False
+        assert meta["steps_evolved"] == (meta["rounds"] + 1) * 279
+        assert {"stabilized_distance", "contraction_ratio"} <= set(meta)
         assert set(steps("eps_convergence")) == {"reference", "rows"}
         assert len(steps("eps_convergence")["rows"]) == 1
         assert len(steps("dim_convergence")["rows"]) == 2
         assert steps("noise_convergence")["deterministic"] > 0
         assert {len(v) for v in steps("bounds").values()} == {12}
+
+    def test_every_subcommand_runs_at_a_tiny_certified_config(self, tmp_path,
+                                                              capsys):
+        meta, steps = self.run_every_subcommand(tmp_path, capsys, self.TINY,
+                                                "0.01")
+        # the certified cloud is the Newton zero, evolved by no step
+        assert meta["certified"] is True and meta["mu_bound"] < 0
+        assert (meta["steps_evolved"], meta["rounds"],
+                meta["contraction_ratio"]) == (0, 0, None)
+        assert meta["max_F"] <= stepping.EQUILIBRIUM_TOL
+        assert steps("eps_convergence") == {"reference": 0, "rows": [0]}
+        assert steps("dim_convergence") == {"window": 0, "rows": [0, 0]}
+        assert steps("noise_convergence") == {"deterministic": 0}
+        # every (c, lam) row of the sweep is certified
+        assert {len(v) for v in steps("bounds").values()} == {12}
+        assert {n for v in steps("bounds").values() for n in v} == {0}
 
 
 class TestStepCap:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bhlattice import (
     DissipativityViolation,
     LatticeWindow,
     Params,
+    contraction_bound,
     cutoff_xi,
     d_minus,
     d_plus,
@@ -22,6 +24,7 @@ from bhlattice import (
     tail_mass,
     vector_field,
 )
+from bhlattice import _grid
 
 
 def random_window(rng, half=8, radius=None):
@@ -293,3 +296,90 @@ def test_clip_to_grid_of_window_outside_on_both_sides():
     assert u.clip_to_grid(2).tolist() == [4.0, 5.0, 6.0, 7.0, 8.0]
     assert LatticeWindow(7, [1.0]).clip_to_grid(3).tolist() == [0.0] * 7
     assert LatticeWindow.zero().clip_to_grid(1).tolist() == [0.0] * 3
+
+
+def dense_jacobian(p, U, mode):
+    """The field's Jacobian at U as a dense matrix, from its bands."""
+    bands = _grid.field_jacobian(p, U, mode)
+    return (np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
+            + np.diag(bands[2, :-1], -1))
+
+
+class TestContractionBound:
+    DEFAULT = Params(nu=1.0, alpha=1.0, beta=1.0, gamma=0.5, lam=8.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(coeffs=st.tuples(*[st.floats(0.1, 3.0)] * 3),
+           gamma=st.floats(0.05, 0.95), lam=st.floats(0.0, 20.0),
+           sign=st.sampled_from(["paper", "continuum"]),
+           mode=st.sampled_from(["window", "truncated"]),
+           direction=hnp.arrays(float, st.integers(3, 21),
+                                elements=st.floats(-1.0, 1.0)),
+           radius=st.floats(0.0, 3.0))
+    def test_bounds_the_symmetric_jacobian(self, coeffs, gamma, lam, sign,
+                                           mode, direction, radius):
+        """lambda_max((J(u) + J(u)^T)/2) <= mu(||u||), both signs and
+        both closures."""
+        if direction.size % 2 == 0:
+            direction = direction[:-1]
+        nu, alpha, beta = coeffs
+        p = Params(nu=nu, alpha=alpha, beta=beta, gamma=gamma, lam=lam,
+                   laplacian_sign=sign)
+        length = np.linalg.norm(direction)
+        U = radius * direction / length if length else direction
+        J = dense_jacobian(p, U, mode)
+        top = np.linalg.eigvalsh(0.5 * (J + J.T))[-1]
+        bound = contraction_bound(p, float(np.linalg.norm(U)))
+        assert top <= bound + 1e-12 * (1.0 + abs(bound))
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(scale=st.floats(0.0, 3.0), lam_gap=st.floats(0.01, 6.0),
+           sign=st.sampled_from(["paper", "continuum"]),
+           mode=st.sampled_from(["window", "truncated"]),
+           U=hnp.arrays(float, st.sampled_from([3, 5, 9, 17]),
+                        elements=st.floats(-4.0, 4.0)))
+    def test_energy_inequality_holds_for_every_state(self, scale, lam_gap,
+                                                     sign, mode, U):
+        """<F(u), u> <= -(lam - lam*)||u||^2 + <f, u>: the ball of radius
+        ||f||/(lam - lam*) that contraction_bound is applied on is forward
+        invariant, on both closures and for both signs."""
+        p = Params(nu=1.0, alpha=1.0, beta=1.0, gamma=0.5,
+                   lam=6.5625 + lam_gap, f=LatticeWindow.basis(0, scale),
+                   laplacian_sign=sign)
+        half = (U.size - 1) // 2
+        f = p.f.to_grid(half)
+        lhs = float(_grid.field(p, U, f, mode) @ U)
+        rhs = -lam_gap * float(U @ U) + float(f @ U)
+        assert lhs <= rhs + 1e-12 * (1.0 + float(U @ U) ** 2)
+
+    @pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 2.0, 5.0])
+    def test_maximization_matches_a_grid_search(self, r):
+        """The bisection's maximum of the bracket against a brute-force
+        search over x in [-r, r] with s = sqrt(r^2 - x^2)."""
+        p = self.DEFAULT
+        x = np.linspace(-r, r, 400_001)
+        c1 = p.alpha + p.beta * (1.0 + p.gamma)
+        bracket = (2 * c1 * x - 3 * p.beta * x**2 + p.alpha * np.abs(x) / 2
+                   + math.sqrt(5) / 2 * p.alpha * np.sqrt(r * r - x * x))
+        brute = 4 * p.nu - p.beta * p.gamma - p.lam + bracket.max()
+        bound = contraction_bound(p, r)
+        assert brute <= bound <= brute + 1e-9
+
+    def test_values_at_the_default_parameters(self):
+        p = self.DEFAULT
+        continuum = p.replace(laplacian_sign="continuum")
+        # l0 = 4 nu - beta gamma - lam, and -beta gamma - lam
+        assert contraction_bound(p, 0.0) == -4.5
+        assert contraction_bound(continuum, 0.0) == -8.5
+        # R = ||f||/(lam - lam*) = 1 at the default forcing, 2 at twice it
+        assert contraction_bound(p, 1.0) == pytest.approx(-1.31929, abs=1e-5)
+        assert contraction_bound(continuum, 1.0) == pytest.approx(
+            contraction_bound(p, 1.0) - 4.0, abs=1e-12)
+        assert contraction_bound(p, 2.0) == pytest.approx(0.03273, abs=1e-5)
+        radii = np.linspace(0.0, 4.0, 41)
+        values = [contraction_bound(p, r) for r in radii]
+        assert values == sorted(values)
+        with pytest.raises(ValueError):
+            contraction_bound(p, -1.0)

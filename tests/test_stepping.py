@@ -314,6 +314,8 @@ class TestStacks:
             raise AssertionError("solved above eps*")
 
         monkeypatch.setattr(_grid, "picard_solve", refuse)
+        # the reference run does not depend on eps, so it is not started
+        monkeypatch.setattr(_grid, "rk4", refuse)
         eps = 2 * derived_constants(FORCED).eps_star
         y = LatticeWindow(-1, [0.3, -0.5, 0.2])
         Y = y.to_grid(8)
