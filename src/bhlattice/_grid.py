@@ -15,7 +15,6 @@ Two boundary closures exist:
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import NoConvergence, NonFinite
 
@@ -143,28 +142,6 @@ def field_jacobian(p, U: np.ndarray, mode: str) -> np.ndarray:
         # the Dirichlet corner row of d_plus(d_minus) has diagonal 1, not 2
         bands[1, -1] -= nu
     return bands
-
-
-def newton_solve(p, u_prev: np.ndarray, eps: float, f_grid: np.ndarray,
-                 mode: str, tol: float, max_iter: int):
-    """Newton iteration for the implicit relation; single state only.
-
-    Provided for step sizes beyond the contraction-safe cap; none of the
-    contraction guarantees apply here.
-    """
-    y = u_prev.copy()
-    for it in range(1, max_iter + 1):
-        res_vec = y - u_prev - eps * field(p, y, f_grid, mode)
-        resid = float(np.linalg.norm(res_vec))
-        if not np.isfinite(resid):
-            raise NonFinite("Newton iterate overflowed")
-        if resid <= tol:
-            return y, resid, it
-        # bands of I - eps*J
-        bands = -eps * field_jacobian(p, y, mode)
-        bands[1] += 1.0
-        y = y - solve_banded((1, 1), bands, res_vec)
-    raise NoConvergence(max_iter, resid)
 
 
 def rk4(field_fn, U: np.ndarray, t0: float, dt: float, n_steps: int) -> np.ndarray:

@@ -18,11 +18,10 @@ from .errors import (BhLatticeError, ConfigError, DissipativityViolation,
                      NoConvergence, NonFinite, NotStabilized)
 from .experiments import (STABILIZATION_GAP_TIME, ExperimentConfig,
                           ResultTable, _provenance, default_config,
-                          implicit_attractor, require_step_cap, run_bounds,
-                          run_dim_convergence, run_eps_convergence,
-                          run_error_order, run_noise_convergence, verify,
-                          write_table)
-from .lattice import LatticeWindow, derived_constants
+                          implicit_attractor, run_bounds, run_dim_convergence,
+                          run_eps_convergence, run_error_order,
+                          run_noise_convergence, verify, write_table)
+from .lattice import LatticeWindow
 from .stepping import StepConfig, run_trajectory
 from .stochastic import ou_path, ou_path_to_json
 
@@ -182,7 +181,6 @@ def _dispatch(args, cfg: ExperimentConfig) -> int:
         _emit(table, cfg.output_dir, args.format)
         return 0
     if cmd == "attractor":
-        require_step_cap(derived_constants(cfg.params), args.eps)
         cloud = implicit_attractor(cfg.params, args.eps, cfg.attractor,
                                    cfg.window_half_width)
         _write(cfg.output_dir, f"cloud_eps{args.eps:g}.json",

@@ -16,13 +16,18 @@ class BhLatticeError(Exception):
     """Base class for all package-specific errors."""
 
 
+class ConfigError(BhLatticeError):
+    """Invalid experiment or solver configuration."""
+
+
+class StepTooLarge(ConfigError):
+    """Raised when the requested time step exceeds the contraction-safe cap;
+    a configuration error, so the command line exits 2 for it."""
+
+
 class DissipativityViolation(BhLatticeError):
     """Raised when the damping coefficient does not exceed the dissipativity
     threshold, so none of the contraction/absorption guarantees apply."""
-
-
-class StepTooLarge(BhLatticeError):
-    """Raised when the requested time step exceeds the contraction-safe cap."""
 
 
 class NoConvergence(BhLatticeError):
@@ -62,7 +67,3 @@ class SpaceMismatch(BhLatticeError):
 class HorizonTooShort(BhLatticeError):
     """The sampled noise path does not reach far enough into the past for the
     requested quadrature tolerance."""
-
-
-class ConfigError(BhLatticeError):
-    """Invalid experiment or solver configuration."""

@@ -45,6 +45,10 @@ TREND_REL_SLACK = 0.10
 # at most 2.4e-10 of the local and 7.2e-13 of the global defect they resolve.
 REFERENCE_STEPS_PER_EPS = 25
 
+# the bound sweep: forcing scalings c of f, each at every damping lam
+BOUNDS_FORCING_SCALES = (1.0, 0.5, 0.25, 0.0)
+BOUNDS_DAMPINGS = (8.0, 10.0, 12.0)
+
 
 @dataclasses.dataclass
 class GridConfig:
@@ -104,7 +108,7 @@ class ExperimentConfig:
             if not getattr(self.grids, name):
                 raise ConfigError(f"grids.{name} must not be empty")
         for eps in self.grids.eps_list:
-            require_step_cap(dc, eps)
+            check_step(dc, StepConfig(eps=eps))
         if list(self.grids.m_list) != sorted(self.grids.m_list):
             raise ConfigError("m_list must be ascending")
         sig = list(self.grids.sigma_list)
@@ -113,13 +117,6 @@ class ExperimentConfig:
         if self.reference.eps_ref >= min(self.grids.eps_list) / 4:
             raise ConfigError("eps_ref must be below min(eps_list)/4")
         return dc
-
-
-def require_step_cap(dc, eps: float):
-    """ConfigError unless eps is at most the contraction-safe cap eps*."""
-    if not dc.allows_step(eps):
-        raise ConfigError(
-            f"eps={eps} exceeds the contraction-safe cap {dc.eps_star}")
 
 
 def default_params(f_scale: float = 1.0, lam: float = 8.0) -> Params:
@@ -232,11 +229,10 @@ def attractor_config_for_eps(base: AttractorConfig, eps: float,
 
 
 def implicit_attractor(p: Params, eps: float, base: AttractorConfig,
-                       half_width: int, mode: str = "window",
-                       fp_tol: float = 1e-10) -> PointCloud:
+                       half_width: int, mode: str = "window") -> PointCloud:
     """Attractor cloud of the implicit Euler system at step eps; refuses eps
     above eps* (StepTooLarge) before any solve, on either path."""
-    step_cfg = StepConfig(eps=eps, fp_tol=fp_tol)
+    step_cfg = StepConfig(eps=eps)
     check_step(derived_constants(p), step_cfg)
     return _evolved_attractor(
         p, eps, base, half_width, mode,
@@ -417,7 +413,7 @@ def run_error_order(cfg: ExperimentConfig, T: float = 0.5,
     if not eps_list:
         raise ConfigError("grids.eps_error_list must not be empty")
     for eps in eps_list:
-        require_step_cap(dc, eps)
+        check_step(dc, StepConfig(eps=eps))
     K = 32
     rng = np.random.default_rng(cfg.master_seed)
     samples = [_random_window(rng, 8, 0.9 * dc.r_star).to_grid(K)
@@ -457,17 +453,17 @@ def run_error_order(cfg: ExperimentConfig, T: float = 0.5,
     return ResultTable("error_order", rows, prov)
 
 
-def run_bounds(cfg: ExperimentConfig, c_list=(1.0, 0.5, 0.25, 0.0),
-               lam_list=(8.0, 10.0, 12.0)) -> ResultTable:
+def run_bounds(cfg: ExperimentConfig) -> ResultTable:
     """Attractor norms against the closed-form bound ||f||/(lam - lam*)
-    across forcing scalings and ascending damping."""
+    across the forcing scalings BOUNDS_FORCING_SCALES and the ascending
+    dampings BOUNDS_DAMPINGS."""
     base = cfg.params
     m = cfg.noise_m
     rows = {"c": [], "lam": [], "norm_window": [], "norm_trunc": [],
             "bound": []}
     steps = {"window": [], "truncated": []}
-    for c in c_list:
-        for lam in lam_list:
+    for c in BOUNDS_FORCING_SCALES:
+        for lam in BOUNDS_DAMPINGS:
             f = LatticeWindow(base.f.offset, base.f.values * c) if c else \
                 LatticeWindow.zero()
             p = base.replace(f=f, lam=lam)

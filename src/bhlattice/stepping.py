@@ -21,6 +21,9 @@ CLIP_MASS_WARN = 1e-14
 # EQUILIBRIUM_MAX_ITER iterations
 EQUILIBRIUM_TOL = 1e-13
 EQUILIBRIUM_MAX_ITER = 50
+# fixed-point tolerance of the implicit steps whose error ``defect``
+# measures, far below the smallest defect the error-order study resolves
+DEFECT_FP_TOL = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -31,7 +34,6 @@ class StepConfig:
     fp_tol: float = 1e-10
     max_iter: int = 400
     enforce_eps_star: bool = True
-    method: str = "picard"  # "newton" is unsupported-by-theory, for eps > eps*
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -40,8 +42,6 @@ class StepConfig:
             raise ValueError("fp_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.method not in ("picard", "newton"):
-            raise ValueError("method must be 'picard' or 'newton'")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,14 +100,12 @@ def implicit_steps(p: Params, cfg: StepConfig, Y: np.ndarray, n_steps: int,
 
     Refuses eps above eps* (unless cfg allows it), and warns once if a row
     of the start lies outside the absorbing ball, which the steps keep
-    forward invariant.  Newton takes one grid only.  Each Picard solve
-    starts from the last step's solution, whose F(Y) it already knows.
+    forward invariant.  Each Picard solve starts from the last step's
+    solution, whose F(Y) it already knows.
     The residual in StepInfo is the exact defect of Y, its worst row's.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    if cfg.method == "newton" and Y.ndim != 1:
-        raise ValueError("Newton steps take a single grid, not a stack")
     if not n_steps:
         return
     dc = derived_constants(p)
@@ -119,13 +117,9 @@ def implicit_steps(p: Params, cfg: StepConfig, Y: np.ndarray, n_steps: int,
     f_grid = forcing_grid(p, (Y.shape[-1] - 1) // 2, mode)
     F = None
     for _ in range(n_steps):
-        if cfg.method == "newton":
-            Y, resid, iters = _grid.newton_solve(
-                p, Y, cfg.eps, f_grid, mode, cfg.fp_tol, cfg.max_iter)
-        else:
-            Y, resid, iters, F = _grid.picard_solve(
-                lambda U: _grid.field(p, U, f_grid, mode), Y, cfg.eps,
-                cfg.fp_tol, cfg.max_iter, F)
+        Y, resid, iters, F = _grid.picard_solve(
+            lambda U: _grid.field(p, U, f_grid, mode), Y, cfg.eps,
+            cfg.fp_tol, cfg.max_iter, F)
         yield Y, StepInfo(resid, iters)
 
 
@@ -200,34 +194,32 @@ def reference_flow(p: Params, u0: LatticeWindow, t: float, dt_ref: float,
 
 
 def defect(p: Params, eps: float, Y: np.ndarray, n_steps: int,
-           U_exact: np.ndarray, fp_tol: float = 1e-12) -> float:
-    """||U_exact - u^eps_n(Y)|| after n_steps implicit steps from the window
-    grid Y, with U_exact the reference flow from Y at time n_steps*eps.
-    Refuses eps above eps*."""
-    out = advance_grid(p, StepConfig(eps=eps, fp_tol=fp_tol), Y, n_steps,
-                       "window")
+           U_exact: np.ndarray) -> float:
+    """||U_exact - u^eps_n(Y)|| after n_steps implicit steps, solved to
+    DEFECT_FP_TOL, from the window grid Y, with U_exact the reference flow
+    from Y at time n_steps*eps.  Refuses eps above eps*."""
+    out = advance_grid(p, StepConfig(eps=eps, fp_tol=DEFECT_FP_TOL), Y,
+                       n_steps, "window")
     return float(np.linalg.norm(U_exact - out))
 
 
 def local_error(p: Params, eps: float, y: LatticeWindow, dt_ref: float,
-                half_width: int = DEFAULT_HALF_WIDTH,
-                fp_tol: float = 1e-12) -> float:
+                half_width: int = DEFAULT_HALF_WIDTH) -> float:
     """One-step defect ||u(eps, y) - u^eps_1(y)|| between the reference flow
     and a single implicit step, both started from y: the global error at
     T = eps."""
-    return global_error(p, eps, y, eps, dt_ref, half_width, fp_tol)
+    return global_error(p, eps, y, eps, dt_ref, half_width)
 
 
 def global_error(p: Params, eps: float, y: LatticeWindow, T: float,
-                 dt_ref: float, half_width: int = DEFAULT_HALF_WIDTH,
-                 fp_tol: float = 1e-12) -> float:
+                 dt_ref: float, half_width: int = DEFAULT_HALF_WIDTH) -> float:
     """||u(T, y) - u^eps_{T/eps}(y)|| with T an integer multiple of eps."""
     n = step_count(T, eps)
     # refuse before the reference run, which does not depend on eps
-    check_step(derived_constants(p), StepConfig(eps=eps, fp_tol=fp_tol))
+    check_step(derived_constants(p), StepConfig(eps=eps))
     Y = _to_grid_clamped(y, half_width)[None]
     U_exact = reference_flows(p, Y, dt_ref, step_count(T, dt_ref))
-    return defect(p, eps, Y, n, U_exact, fp_tol)
+    return defect(p, eps, Y, n, U_exact)
 
 
 def equilibrium(p: Params, half_width: int, mode: str = "window"):

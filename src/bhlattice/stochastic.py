@@ -47,6 +47,10 @@ class OUPath:
     seed: int
 
     def __post_init__(self):
+        if not self.h_path > 0:
+            raise ValueError("h_path must be positive")
+        if not -np.inf < self.t_min < self.t_max < np.inf:
+            raise ValueError("t_min must be below t_max, both finite")
         arr = np.asarray(self.z, dtype=float)
         n = int(round((self.t_max - self.t_min) / self.h_path)) + 1
         if arr.shape != (n,):
@@ -249,13 +253,14 @@ def absorbing_radius(p: Params, sigma: float, path: OUPath,
 
     R = 1 + (||f||^2/(lam - lam*)) * int_{-inf}^0 exp(-2*sigma*z(s)
         - int_0^s 2*sigma*z(r) dr + (lam - lam*)*s) ds,
-    evaluated by trapezoidal quadrature over the path grid; the reported
-    truncation bound estimates the discarded tail below t_min.
+    evaluated by trapezoidal quadrature over the path grid, which must end
+    at time 0; the reported truncation bound estimates the discarded tail
+    below t_min.
     """
     dc = derived_constants(p)
     gap = p.lam - dc.lambda_star
-    if path.t_max < -1e-12:
-        raise ValueError("path must reach time 0")
+    if abs(path.t_max) > 1e-12:
+        raise ValueError("path must end at time 0")
     if np.exp(gap * path.t_min) > quad_tol:
         raise HorizonTooShort(
             f"path horizon {-path.t_min} too short for quad_tol={quad_tol}")

@@ -806,7 +806,7 @@ class TestStepCap:
             cfg.validate()
             implicit_step_info(cfg.params, step_cfg, u0, 16)
         else:
-            with pytest.raises(ConfigError):
+            with pytest.raises(StepTooLarge):
                 cfg.validate()
             with pytest.raises(StepTooLarge):
                 implicit_step_info(cfg.params, step_cfg, u0, 16)
@@ -822,3 +822,28 @@ class TestStepCap:
             assert main(["--out", str(tmp_path), "attractor",
                          "--eps", repr(eps)]) == 2
             assert os.listdir(tmp_path) == []
+
+    def test_step_too_large_is_a_config_error(self):
+        assert issubclass(StepTooLarge, ConfigError)
+
+    @pytest.mark.parametrize("command", [
+        "attractor", "converge-eps", "converge-dim", "converge-noise",
+        "error-order"])
+    def test_every_subcommand_exits_2_above_the_cap(self, tmp_path, capsys,
+                                                    monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated above eps*")
+
+        monkeypatch.setattr(_grid, "rk4", refuse)
+        monkeypatch.setattr(_grid, "picard_solve", refuse)
+        # eps* is 0.01026 forced and 0.02128 for the unforced error-order
+        # study
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "grids": {"eps_list": [0.02], "eps_error_list": [0.05]},
+            "reference": {"eps_ref": 0.001}}))
+        extra = ["--eps", "0.02"] if command == "attractor" else []
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path),
+                     command, *extra]) == 2
+        assert "exceeds the contraction-safe cap" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]

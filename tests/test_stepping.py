@@ -14,10 +14,12 @@ from bhlattice import (
     Params,
     StepConfig,
     StepTooLarge,
+    d_minus_matrix,
     derived_constants,
     global_error,
     implicit_step_info,
     l_bound,
+    laplacian_matrix,
     local_error,
     reference_flow,
     run_trajectory,
@@ -45,13 +47,21 @@ def dense_field(p, u, f):
             + p.beta * u * (1 - u) * (u - p.gamma) - p.lam * u + f)
 
 
-def dense_newton_step(p, u_prev, eps, f, tol=1e-13):
-    """Solve y = u_prev + eps*F(y) by Newton with a finite-difference
-    Jacobian; independent of the package's solver."""
-    y = u_prev.copy()
+def dense_truncated_field(p, x, f):
+    """The truncated system's field from the dense truncation matrices
+    (test-local oracle)."""
+    m = (x.size - 1) // 2
+    return (p.nu * laplacian_matrix(m) @ x
+            - p.alpha * x * (d_minus_matrix(m) @ x)
+            + p.beta * x * (1 - x) * (x - p.gamma) - p.lam * x + f)
+
+
+def dense_newton(residual, y, tol=1e-13):
+    """Solve residual(y) = 0 from y by Newton with a finite-difference
+    Jacobian; independent of the package's solvers."""
     n = y.size
     for _ in range(60):
-        res = y - u_prev - eps * dense_field(p, y, f)
+        res = residual(y)
         if np.linalg.norm(res) <= tol:
             return y
         jac = np.empty((n, n))
@@ -59,9 +69,15 @@ def dense_newton_step(p, u_prev, eps, f, tol=1e-13):
         for j in range(n):
             dy = y.copy()
             dy[j] += h
-            jac[:, j] = (dy - u_prev - eps * dense_field(p, dy, f) - res) / h
+            jac[:, j] = (residual(dy) - res) / h
         y = y - np.linalg.solve(jac, res)
     raise AssertionError("oracle Newton did not converge")
+
+
+def dense_newton_step(p, u_prev, eps, f, tol=1e-13):
+    """Solve y = u_prev + eps*F(y) by the oracle Newton from u_prev."""
+    return dense_newton(lambda y: y - u_prev - eps * dense_field(p, y, f),
+                        u_prev.copy(), tol)
 
 
 class TestImplicitStep:
@@ -104,28 +120,6 @@ class TestImplicitStep:
             u = LatticeWindow(-8, raw)
             out, _ = implicit_step_info(params, cfg, u, 24)
             assert out.norm() <= dc.r_star + 10 * cfg.fp_tol
-
-    def test_newton_mode_agrees_with_picard(self, params):
-        u_prev = LatticeWindow.basis(0, 0.3)
-        a, _ = implicit_step_info(params, StepConfig(eps=0.01, fp_tol=1e-13),
-                                  u_prev, 16)
-        b, _ = implicit_step_info(params, StepConfig(eps=0.01, fp_tol=1e-13,
-                                                     method="newton"),
-                                  u_prev, 16)
-        assert (a - b).norm() <= 1e-11
-
-    @pytest.mark.parametrize("factor", [2.0, 5.0, 20.0])
-    def test_newton_beyond_the_step_cap_matches_dense_newton(self, factor):
-        # the banded solve must stay right where Picard has no guarantee
-        eps = factor * derived_constants(FORCED).eps_star
-        cfg = StepConfig(eps=eps, fp_tol=1e-13, enforce_eps_star=False,
-                         method="newton")
-        u_prev = LatticeWindow(-2, [0.1, -0.4, 0.6, 0.3, -0.2])
-        out, info = implicit_step_info(FORCED, cfg, u_prev, 16)
-        assert info.residual <= 1e-13
-        oracle = dense_newton_step(FORCED, u_prev.to_grid(16), eps,
-                                   FORCED.f.to_grid(16))
-        assert np.max(np.abs(out.to_grid(16) - oracle)) <= 1e-10
 
     def test_contraction_certificate(self, params):
         dc = derived_constants(params)
@@ -228,17 +222,39 @@ class TestTrajectory:
         assert len(iters) == n
         assert evals[0] == 1 + sum(iters) < sum(i + 1 for i in iters)
 
-    def test_newton_steps_run_through_it(self, params, monkeypatch):
-        cfg = StepConfig(eps=0.01, fp_tol=1e-13, method="newton")
-        u0 = LatticeWindow.basis(0, 0.5)
-        traj = run_trajectory(params, cfg, u0, 5, 16)
-        u = u0
-        for state in traj.states[1:]:
-            u, _ = implicit_step_info(params, cfg, u, 16)
-            assert u.values.tobytes() == state.values.tobytes()
-        # the Newton path never enters the Picard solve
-        monkeypatch.setattr(_grid, "picard_solve", None)
-        assert run_trajectory(params, cfg, u0, 5, 16).states == traj.states
+
+DENSE_FIELDS = {"window": dense_field, "truncated": dense_truncated_field}
+
+
+class TestEquilibrium:
+    """Banded Newton on F(u) = 0, the package's one Newton loop."""
+
+    @pytest.mark.parametrize("mode, half_width", [("window", 16),
+                                                  ("truncated", 8)])
+    def test_is_a_zero_of_the_field(self, mode, half_width):
+        u, resid, iterations = stepping.equilibrium(FORCED, half_width, mode)
+        F = _grid.field(FORCED, u,
+                        stepping.forcing_grid(FORCED, half_width, mode), mode)
+        assert resid == float(np.max(np.abs(F))) <= stepping.EQUILIBRIUM_TOL
+        assert u.shape == (2 * half_width + 1,) and iterations >= 1
+
+    @pytest.mark.parametrize("mode, half_width", [("window", 16),
+                                                  ("truncated", 8)])
+    def test_matches_dense_newton(self, mode, half_width):
+        u, _, _ = stepping.equilibrium(FORCED, half_width, mode)
+        f = stepping.forcing_grid(FORCED, half_width, mode)
+        oracle = dense_newton(
+            lambda y: DENSE_FIELDS[mode](FORCED, y, f),
+            np.zeros(2 * half_width + 1))
+        assert np.max(np.abs(u - oracle)) <= 1e-10
+        assert np.linalg.norm(u) > 0.1
+
+    def test_iteration_cap_raises_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(stepping, "EQUILIBRIUM_MAX_ITER", 1)
+        with pytest.raises(NoConvergence) as exc:
+            stepping.equilibrium(FORCED, 16)
+        assert exc.value.iterations == 1
+        assert exc.value.residual > stepping.EQUILIBRIUM_TOL
 
 
 class TestAbsorbingBallWarning:
@@ -302,11 +318,6 @@ class TestStacks:
                                        n_steps, mode)
         for row in copies:
             assert row.tobytes() == alone.tobytes()
-
-    def test_newton_refuses_a_stack(self):
-        cfg = StepConfig(eps=0.01, method="newton")
-        with pytest.raises(ValueError, match="single grid"):
-            stepping.advance_grid(FORCED, cfg, np.zeros((2, 9)), 1, "window")
 
     def test_errors_above_the_step_cap_are_refused_before_solving(
             self, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from bhlattice import (
     LatticeWindow,
     NoiseConfig,
     NonFinite,
+    OUPath,
     Params,
     absorbing_radius,
     ergodic_average,
@@ -106,6 +108,22 @@ class TestOUPath:
         assert np.array_equal(back.z, path.z)
         assert back.t_min == path.t_min and back.h_path == path.h_path
 
+    @pytest.mark.parametrize("grid, match", [
+        pytest.param({"h_path": 0}, "h_path must be positive", id="zero-step"),
+        pytest.param({"t_min": 0.0, "t_max": -3.0, "h_path": -0.1},
+                     "h_path must be positive", id="reversed-negative-step"),
+        pytest.param({"t_min": 0.0, "z": [0.3]}, "t_min must be below t_max",
+                     id="one-node"),
+        pytest.param({"t_min": -math.inf}, "both finite", id="infinite-past"),
+    ])
+    def test_json_with_a_bad_grid_raises_value_error(self, grid, match):
+        # each finite grid keeps a z of its own length, so only the check on
+        # the grid itself refuses it
+        doc = {**json.loads(ou_path_to_json(ou_path(5, -3.0, 0.0, 0.1))),
+               **grid}
+        with pytest.raises(ValueError, match=match):
+            ou_path_from_json(json.dumps(doc))
+
     def test_realization_seeds_are_distinct(self):
         a = realization_seed(2024, 0).generate_state(4)
         b = realization_seed(2024, 1).generate_state(4)
@@ -164,6 +182,19 @@ class TestAbsorbingRadius:
         out = absorbing_radius(params, 0.0, path, 1e-10)
         expected = 1.0 + 1.4375 ** 2 / gap ** 2
         assert out.value == pytest.approx(expected, abs=1e-5)
+
+    @pytest.mark.parametrize("t_max", [1.0, 1e-3, -0.5])
+    def test_path_must_end_at_time_zero(self, params, t_max):
+        # a path past t = 0 would add the integrand over (0, t_max]
+        path = ou_path(5, -30.0, t_max, 0.01)
+        with pytest.raises(ValueError, match="end at time 0"):
+            absorbing_radius(params, 0.4, path, 1e-6)
+
+    def test_path_cut_at_time_zero_is_accepted(self, params):
+        path = ou_path(5, -30.0, 1.0, 0.01)
+        cut = OUPath(path.t_min, 0.0, path.h_path, path.z[:-100], path.seed)
+        value = absorbing_radius(params, 0.4, cut, 1e-6).value
+        assert 1.0 < value < 3.0
 
     def test_horizon_too_short(self, params):
         path = ou_path(1, -2.0, 0.0, 0.01)

@@ -139,9 +139,8 @@ class TestStepping:
         with pytest.raises(ValueError):
             truncated_trajectory(params, StepConfig(eps=0.01), x, -1)
 
-    @pytest.mark.parametrize("method", ["picard", "newton"])
-    def test_trajectory_bitwise_equal_to_single_steps(self, params, method):
-        cfg = StepConfig(eps=0.01, method=method)
+    def test_trajectory_bitwise_equal_to_single_steps(self, params):
+        cfg = StepConfig(eps=0.01)
         x = random_state(np.random.default_rng(31), 6, scale=0.3)
         states = truncated_trajectory(params, cfg, x, 30)
         for state in states[1:]:
