@@ -33,25 +33,31 @@ def d_minus(U: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel(p, e, sz, U: np.ndarray, f_grid: np.ndarray,
-            mode: str) -> np.ndarray:
-    """Field at noise factor e = exp(sigma*z) and shift sz = sigma*z: the
-    diagonal terms as one Horner cubic in U, then the neighbour couplings.
-    At e = 1, sz = 0 it is the deterministic field, bit for bit.
+def field_coefficients(p, e, sz, f_grid: np.ndarray) -> tuple:
+    """Coefficients of the field at noise factor e = exp(sigma*z) and shift
+    sz = sigma*z, as (nu, ae, c0, c1, c2, f/e) for ``apply_field``: the
+    diagonal terms are the cubic U*(c0 + U*(c1 + c2*U)) + f/e, the left
+    coupling (nu + ae*U_i)*U_{i-1}.  At e = 1, sz = 0 they give the
+    deterministic field, bit for bit.
 
-    e and sz are scalars, or arrays that broadcast against the leading
-    (batch) axes of U, one noise value per state row."""
-    if mode not in ("window", "truncated"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rowwise = isinstance(e, np.ndarray)
-    if rowwise:
-        # one value per row: broadcast along the state axis too
-        e, sz = e[..., None], sz[..., None]
+    e and sz are scalars, or arrays that broadcast against U with a length-1
+    state axis, one noise value per state row; a leading axis more gives
+    the coefficients of many noise values at once, elementwise the same."""
     nu = -p.nu if p.laplacian_sign == "continuum" else p.nu
     ae = p.alpha * e
     c0 = 2.0 * nu - p.beta * p.gamma - p.lam + sz
     c1 = ae + p.beta * (1.0 + p.gamma) * e
     c2 = -p.beta * e * e
+    return nu, ae, c0, c1, c2, f_grid / e
+
+
+def apply_field(coef: tuple, U: np.ndarray, mode: str) -> np.ndarray:
+    """The field with coefficients ``coef`` from ``field_coefficients`` at
+    U: the diagonal terms as one Horner cubic, then the neighbour
+    couplings."""
+    if mode not in ("window", "truncated"):
+        raise ValueError(f"unknown mode {mode!r}")
+    nu, ae, c0, c1, c2, fe = coef
     U = np.ascontiguousarray(U)
     # Horner form U*(c0 + U*(c1 + c2*U)), evaluated in place
     out = c2 * U
@@ -59,14 +65,17 @@ def _kernel(p, e, sz, U: np.ndarray, f_grid: np.ndarray,
     out *= U
     out += c0
     out *= U
-    out += f_grid / e
+    out += fe
     # neighbour couplings on the flat rows (contiguous, unlike 2-D slices),
     # with the products across a row boundary zeroed
     n = U.shape[-1]
     u, o = U.reshape(-1), out.reshape(-1)
     # left = (nu + ae*U_i)*U_{i-1}, in place; a per-row ae multiplies U
     # before it is flattened
-    left = (ae * U).reshape(-1)[1:] if rowwise else ae * u[1:]
+    if isinstance(ae, np.ndarray):
+        left = (ae * U).reshape(-1)[1:]
+    else:
+        left = ae * u[1:]
     left += nu
     left *= u[:-1]
     right = nu * u[1:]
@@ -83,21 +92,16 @@ def _kernel(p, e, sz, U: np.ndarray, f_grid: np.ndarray,
 
 def field(p, U: np.ndarray, f_grid: np.ndarray, mode: str) -> np.ndarray:
     """Burgers-Huxley vector field on the grid."""
-    return _kernel(p, 1.0, 0.0, U, f_grid, mode)
+    return apply_field(field_coefficients(p, 1.0, 0.0, f_grid), U, mode)
 
 
-def random_field(p, sigma, z, U: np.ndarray, f_grid: np.ndarray,
-                 mode: str) -> np.ndarray:
+def random_field(p, sigma: float, z: float, U: np.ndarray,
+                 f_grid: np.ndarray, mode: str) -> np.ndarray:
     """Transformed random vector field with noise intensity sigma at noise
-    value z, exactly as displayed for the conjugated system.
-
-    sigma and z are scalars, or arrays whose product broadcasts against the
-    leading axes of U: for a (S, R, P, n) stack of clouds, sigma of shape
-    (S, 1, 1) and z of shape (R, 1) give each (S, R) cloud its own value."""
+    value z, exactly as displayed for the conjugated system."""
     sz = sigma * z
-    e = np.exp(sz)
-    return _kernel(p, e if isinstance(e, np.ndarray) else float(e), sz, U,
-                   f_grid, mode)
+    return apply_field(field_coefficients(p, float(np.exp(sz)), sz, f_grid),
+                       U, mode)
 
 
 def row_norms(U: np.ndarray) -> np.ndarray:
@@ -144,21 +148,33 @@ def field_jacobian(p, U: np.ndarray, mode: str) -> np.ndarray:
     return bands
 
 
+def stage_times(t0: float, dt: float, n_steps: int) -> np.ndarray:
+    """The 2*n_steps + 1 times at which ``rk4`` evaluates the field, in
+    order: entry 2j is the start of step j, t0 plus dt added j times one
+    addition at a time (so the end of step j is the start of step j + 1,
+    bit for bit), and entry 2j + 1 is its midpoint."""
+    starts = np.cumsum(np.concatenate(([t0], np.full(n_steps, dt))))
+    times = np.empty(2 * n_steps + 1)
+    times[0::2] = starts
+    times[1::2] = starts[:-1] + 0.5 * dt
+    return times
+
+
 def rk4(field_fn, U: np.ndarray, t0: float, dt: float, n_steps: int) -> np.ndarray:
     """Classical fourth-order one-step method for dU/dt = field_fn(t, U)
-    with the scalar step dt.
+    with the scalar step dt, at the times of ``stage_times``.
 
     Overflow is not checked here: a batch may hold rows that blow up next
     to rows that do not, so each caller tests the end state it needs
     (``require_finite`` for a single run)."""
-    t = t0
-    for _ in range(n_steps):
+    times = stage_times(t0, dt, n_steps)
+    for j in range(0, 2 * n_steps, 2):
+        t, t_mid, t_end = times[j:j + 3].tolist()
         k1 = field_fn(t, U)
-        k2 = field_fn(t + 0.5 * dt, U + 0.5 * dt * k1)
-        k3 = field_fn(t + 0.5 * dt, U + 0.5 * dt * k2)
-        k4 = field_fn(t + dt, U + dt * k3)
+        k2 = field_fn(t_mid, U + 0.5 * dt * k1)
+        k3 = field_fn(t_mid, U + 0.5 * dt * k2)
+        k4 = field_fn(t_end, U + dt * k3)
         U = U + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
     return U
 
 

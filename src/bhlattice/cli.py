@@ -86,8 +86,8 @@ def _checked(convert, ok):
     return number
 
 
-# longest path ``ou-path`` samples: the path is generated one sample at a
-# time and written as JSON text, about 20 bytes a sample
+# longest path ``ou-path`` samples: the cap takes about 0.2 s to generate,
+# and its JSON text, about 20 bytes a sample, takes about 1.3 s to write
 OU_PATH_MAX_SAMPLES = 10**6
 
 # study subcommands: name -> (runner, help); each writes its one table

@@ -381,7 +381,10 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ResultTable:
         rows["excluded"].append(excluded)
         rows["mean_radius"].append(float(np.mean(radii)))
     prov = _provenance(cfg)
-    prov.update({"m": m, "dt": dt, "pullback_T": cfg.noise.pullback_T,
+    # the step the pullback took, pullback_T / pullback_steps: not dt
+    # itself unless dt divides pullback_T
+    prov.update({"m": m, "dt": batch.dt, "pullback_steps": batch.n_steps,
+                 "pullback_T": cfg.noise.pullback_T,
                  "steps_evolved": {"deterministic":
                                    a_det.meta["steps_evolved"]},
                  "excluded_realizations": excluded_realizations,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 
 import numpy as np
@@ -71,26 +72,16 @@ class OUPath:
     def at(self, t: float) -> float:
         """Linear interpolation between grid nodes, as np.interp(t,
         self.grid, self.z)."""
-        return float(_interp(self.grid, self.z, t))
+        _check_horizon(self.grid, t, t)
+        return float(np.interp(t, self.grid, self.z))
 
 
-def _interp(grid: np.ndarray, z: np.ndarray, t: float):
-    """np.interp(t, grid, z) along the first axis of z, one scalar t.
-
-    z may hold several paths on one grid as columns, (nodes, R); one cell
-    lookup then serves all of them, and each gets the value it would get
-    alone.  The interval and the arithmetic are those np.interp uses.
-    """
+def _check_horizon(grid: np.ndarray, t_first: float, t_last: float):
+    """ValueError unless [t_first, t_last] lies on the path grid, up to a
+    rounding slack at its ends."""
     slack = 1e-9 * max(1.0, abs(grid[0]))
-    if t < grid[0] - slack or t > grid[-1] + slack:
+    if t_first < grid[0] - slack or t_last > grid[-1] + slack:
         raise ValueError("time outside the path horizon")
-    k = int(np.searchsorted(grid, t, side="right")) - 1
-    if k >= len(grid) - 1:
-        return z[-1]
-    if k < 0 or t == grid[k]:  # left of the first node, or on node k
-        return z[max(k, 0)]
-    x0, x1 = grid[k], grid[k + 1]
-    return (z[k + 1] - z[k]) / (x1 - x0) * (t - x0) + z[k]
 
 
 def ou_path(seed: int, t_min: float, t_max: float, h: float) -> OUPath:
@@ -108,13 +99,17 @@ def ou_path(seed: int, t_min: float, t_max: float, h: float) -> OUPath:
     n_seg = int(np.ceil((t_max - t_min) / h - 1e-12))
     t_min = t_max - n_seg * h
     n = n_seg + 1
-    rng = np.random.default_rng(seed)
     a = ou_decay(h)
-    s = ou_innovation_std(h)
-    z = np.empty(n)
-    z[-1] = np.sqrt(STATIONARY_VARIANCE) * rng.standard_normal()
-    for j in range(n - 2, -1, -1):
-        z[j] = a * z[j + 1] + s * rng.standard_normal()
+    # all n normals in one draw: x[0] starts the path at t_max in the
+    # stationary law, and x[k] for k >= 1 is the innovation of z[n-1-k] =
+    # a*z[n-k] + x[k].  The recursion runs on Python floats, rounding each
+    # product and sum as written (scipy.signal.lfilter gives the same bits,
+    # but importing scipy.signal takes about a second and 35 MB)
+    x = np.random.default_rng(seed).standard_normal(n)
+    x[0] *= np.sqrt(STATIONARY_VARIANCE)
+    x[1:] *= ou_innovation_std(h)
+    back = itertools.accumulate(memoryview(x), lambda y, xk: a * y + xk)
+    z = np.fromiter(back, float, count=n)[::-1].copy()
     return OUPath(t_min, t_max, h, z, seed)
 
 
@@ -163,15 +158,69 @@ def random_field(p: Params, sigma: float, z_t: float,
         p, sigma, z_t, G, f, "window"))
 
 
+# RK4 steps whose stage coefficients are built at once: about 0.5 MB for
+# the noise study's (S, R) = (4, 2) pairs on 33 sites
+TABLE_BLOCK_STEPS = 128
+
+
+class _NoiseTable:
+    """The random field of every (sigma, path) pair at the RK4 stage times
+    ``_grid.stage_times(t0, dt, n_steps)``, as a right-hand side f(t, U)
+    for ``_grid.rk4`` on an (S, R, ...) stack.
+
+    z is read off each path at every stage time once, and the field
+    coefficients are built from it TABLE_BLOCK_STEPS steps at a time; each
+    call applies the coefficients of its stage time, which must be the
+    time of the last call or the next one."""
+
+    def __init__(self, p: Params, sigmas, paths, t0: float, dt: float,
+                 n_steps: int, f_grid: np.ndarray, mode: str):
+        self.times = _grid.stage_times(t0, dt, n_steps)
+        for path in paths:
+            _check_horizon(path.grid, self.times[0], self.times[-1])
+        # z at every stage time, (times, 1, R); sigma as (S, 1)
+        self._z = np.stack([np.interp(self.times, path.grid, path.z)
+                            for path in paths], axis=1)[:, None, :]
+        self._sig = np.asarray(sigmas, dtype=float)[:, None]
+        self._p, self._f_grid, self._mode = p, f_grid, mode
+        self._row = 0
+        self._fill(0)
+
+    def _fill(self, start: int):
+        # the rows of the next block: sigma*z and exp(sigma*z) of each
+        # (sigma, path) pair, with a length-1 cloud and state axis
+        stop = min(start + 2 * TABLE_BLOCK_STEPS, self.times.size)
+        sz = (self._sig * self._z[start:stop])[..., None, None]
+        nu, *rows = _grid.field_coefficients(self._p, np.exp(sz), sz,
+                                             self._f_grid)
+        self._block = [(nu, *row) for row in zip(*rows)]
+        self._start, self._stop = start, stop
+
+    def __call__(self, t: float, U: np.ndarray) -> np.ndarray:
+        i = self._row
+        if t != self.times[i]:
+            i += 1
+            if i == self.times.size or t != self.times[i]:
+                raise ValueError(f"stage time {t!r} is not in the noise "
+                                 f"table after {self.times[i - 1]!r}")
+            if i == self._stop:
+                self._fill(i)
+            self._row = i
+        return _grid.apply_field(self._block[i - self._start], U, self._mode)
+
+
 @dataclasses.dataclass(frozen=True)
 class PullbackBatch:
     """Time-0 clouds of a pullback batch: points[i, j] is the cloud for
     sigma i along realization j, and finite[i, j] says whether it stayed
-    finite.  paths[j] is realization j's OU path, shared by every sigma."""
+    finite.  paths[j] is realization j's OU path, shared by every sigma.
+    The clouds took n_steps RK4 steps of dt = pullback_T / n_steps."""
 
     points: np.ndarray
     finite: np.ndarray
     paths: tuple
+    dt: float
+    n_steps: int
 
 
 def pullback_batch(p: Params, noise: NoiseConfig, sigmas, realizations,
@@ -186,9 +235,12 @@ def pullback_batch(p: Params, noise: NoiseConfig, sigmas, realizations,
     the same path serves every sigma (and, with a long enough horizon, the
     absorbing radius).  All len(sigmas)*len(realizations) copies of the
     cloud are integrated as one stack with the classical fourth-order
-    one-step method, sampling z by linear interpolation; each copy's result
-    is the one it would get on its own, bit for bit.  Copies that overflow
-    are flagged in ``finite``, not raised.
+    one-step method, in n_steps = round(pullback_T / dt) equal steps.  The
+    noise is tabulated once per stage time: z by linear interpolation on
+    each path, then the field coefficients of every copy, so the stage loop
+    only applies them.  Each copy's result is the one a plain RK4 loop
+    calling ``random_field`` at z(t) in every stage would give, bit for
+    bit.  Copies that overflow are flagged in ``finite``, not raised.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -200,23 +252,15 @@ def pullback_batch(p: Params, noise: NoiseConfig, sigmas, realizations,
     horizon = max(noise.pullback_T, path_horizon)
     paths = tuple(ou_path(realization_seed(noise.master_seed, k), -horizon,
                           0.0, noise.h_path) for k in realizations)
-    # every path spans the same horizon, so the first one's grid serves all,
-    # with path r as column r of z
-    grid = paths[0].grid
-    z = np.stack([path.z for path in paths], axis=1)
     mode = initial_cloud.space
     f_grid = forcing_grid(p, initial_cloud.half_width, mode)
-    # (S, 1, 1) against z of shape (R, 1): one noise value per (S, R) cloud
-    sig = np.asarray(sigmas, dtype=float)[:, None, None]
-
-    def rhs(t, U):
-        return _grid.random_field(p, sig, _interp(grid, z, t)[:, None], U,
-                                  f_grid, mode)
-
+    rhs = _NoiseTable(p, sigmas, paths, -noise.pullback_T, dt, n_steps,
+                      f_grid, mode)
     U0 = np.broadcast_to(initial_cloud.points,
-                         (sig.shape[0], len(paths)) + initial_cloud.points.shape)
+                         (len(sigmas), len(paths)) + initial_cloud.points.shape)
     pts = _grid.rk4(rhs, U0.copy(), -noise.pullback_T, dt, n_steps)
-    return PullbackBatch(pts, np.isfinite(pts).all(axis=(-2, -1)), paths)
+    return PullbackBatch(pts, np.isfinite(pts).all(axis=(-2, -1)), paths, dt,
+                         n_steps)
 
 
 def pullback_sample(p: Params, noise: NoiseConfig, realization_index: int,

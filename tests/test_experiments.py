@@ -303,6 +303,29 @@ class TestNoiseStudy:
         table = run_noise_convergence(self.small_config((0.2, 0.0)))
         assert table.provenance["sigma_slope"] is None
 
+    def test_provenance_records_the_pullback_step(self):
+        # at beta = 2, eps* = 0.0084724 is below h_path, and pullback_T = 3
+        # takes round(3 / eps*) = 354 steps of 3/354 = 0.0084746
+        cfg = self.small_config((0.1,))
+        cfg.params = default_params().replace(beta=2.0)
+        cfg.grids = GridConfig(eps_list=(0.005, 0.0025), sigma_list=(0.1,))
+        cfg.noise = NoiseConfig(h_path=0.01, pullback_T=3.0, realizations=2,
+                                master_seed=2024)
+        assert derived_constants(cfg.params).eps_star == \
+            pytest.approx(0.0084724, abs=1e-7)
+        prov = run_noise_convergence(cfg).provenance
+        assert prov["pullback_steps"] == 354
+        assert prov["dt"] == 3.0 / 354
+        assert prov["dt"] == pytest.approx(0.0084746, abs=1e-7)
+
+    def test_provenance_step_at_the_shipped_config(self):
+        # h_path = 0.01 divides pullback_T = 30, so dt stays 0.01
+        cfg = self.small_config((0.1,))
+        cfg.noise = NoiseConfig(h_path=0.01, pullback_T=30.0, realizations=1,
+                                master_seed=2024)
+        prov = run_noise_convergence(cfg).provenance
+        assert (prov["dt"], prov["pullback_steps"]) == (0.01, 3000)
+
 
 class TestErrorOrder:
     EPS = (0.02, 0.01, 0.005)

@@ -220,9 +220,13 @@ def noise_stacks(draw):
 @PROPERTY
 @given(p=params_st, stack=noise_stacks(),
        mode=st.sampled_from(["window", "truncated"]))
-def test_random_field_with_array_noise_equals_per_row_calls(p, stack, mode):
+def test_per_row_coefficients_equal_per_row_calls(p, stack, mode):
+    # one (sigma, z) pair per (S, R) cloud, with a length-1 cloud and state
+    # axis, as the pullback's noise table forms them
     U, sigmas, zs, f = stack
-    got = _grid.random_field(p, sigmas[:, None, None], zs[:, None], U, f, mode)
+    sz = (sigmas[:, None] * zs)[..., None, None]
+    coef = _grid.field_coefficients(p, np.exp(sz), sz, f)
+    got = _grid.apply_field(coef, U, mode)
     assert got.shape == U.shape
     for i, sigma in enumerate(sigmas):
         for j, z in enumerate(zs):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhlattice import (
     HorizonTooShort,
@@ -22,8 +24,10 @@ from bhlattice import (
     sample_ball,
     vector_field,
 )
+from bhlattice import _grid, stochastic
+from bhlattice.stepping import forcing_grid
 from bhlattice.stochastic import (
-    _interp,
+    _NoiseTable,
     ou_decay,
     ou_innovation_std,
     realization_seed,
@@ -101,6 +105,30 @@ class TestOUPath:
         assert np.max(np.abs(got - np.interp(ts, grid, path.z))) <= 1e-15
         with pytest.raises(ValueError):
             path.at(path.t_min - 1e-3)
+
+    @staticmethod
+    def one_sample_at_a_time(seed, t_min, t_max, h):
+        """The path by its defining recursion, one normal draw per sample
+        from t_max backwards."""
+        n = int(np.ceil((t_max - t_min) / h - 1e-12)) + 1
+        rng = np.random.default_rng(seed)
+        a, s = ou_decay(h), ou_innovation_std(h)
+        z = np.empty(n)
+        z[-1] = np.sqrt(0.5) * rng.standard_normal()
+        for j in range(n - 2, -1, -1):
+            z[j] = a * z[j + 1] + s * rng.standard_normal()
+        return z
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.one_of(st.integers(0, 2**63),
+                          st.builds(realization_seed, st.integers(0, 10**6),
+                                    st.integers(0, 100))),
+           horizon=st.floats(1e-3, 20.0), h=st.floats(2e-3, 1.0))
+    def test_equals_the_recursion_one_sample_at_a_time(self, seed, horizon, h):
+        path = ou_path(seed, -horizon, 0.0, h)
+        assert path.z.tobytes() == \
+            self.one_sample_at_a_time(seed, -horizon, 0.0, h).tobytes()
 
     def test_json_round_trip(self):
         path = ou_path(5, -3.0, 0.0, 0.1)
@@ -287,26 +315,6 @@ class TestPullbackBatch:
             one = pullback_sample(params, self.noise(0.1), k, self.DT, init)
             assert batch.points[1, k].tobytes() == one.points.tobytes()
 
-    def test_stacked_lookup_equals_single_paths_at_every_stage(self):
-        seeds = [realization_seed(2024, k) for k in range(4)]
-        long = [ou_path(s, -12.0, 0.0, 0.01) for s in seeds]
-        short = [ou_path(s, -self.T, 0.0, 0.01) for s in seeds]
-        # the paths as columns on one grid, as pullback_batch stacks them
-        grid = long[0].grid
-        z = np.stack([path.z for path in long], axis=1)
-        n_steps = int(round(self.T / self.DT))
-        dt = self.T / n_steps
-        t = -self.T
-        # the stage times of the RK4 loop, with its accumulated rounding
-        for _ in range(n_steps):
-            for ts in (t, t + 0.5 * dt, t + dt):
-                got = _interp(grid, z, ts)
-                for r in range(len(seeds)):
-                    assert got[r] == long[r].at(ts) == short[r].at(ts)
-            t += dt
-        with pytest.raises(ValueError):
-            _interp(grid, z, 0.5)
-
     def test_horizon_shorter_than_half_a_step_is_a_value_error(self, params):
         noise = NoiseConfig(sigma=0.1, h_path=0.001, pullback_T=0.004)
         init = sample_ball(1.0, "truncated", 3, 4, seed=0)
@@ -314,3 +322,106 @@ class TestPullbackBatch:
             pullback_batch(params, noise, (0.1,), range(2), 0.01, init)
         with pytest.raises(ValueError, match="pullback_T=0.004.*dt=0.01"):
             pullback_sample(params, noise, 0, 0.01, init)
+
+    @staticmethod
+    def rk4_oracle(p, noise, sigma, k, dt, init, path_horizon):
+        """One (sigma, realization) pullback as a plain RK4 loop that reads
+        the path with OUPath.at and evaluates random_field at every stage."""
+        n_steps = int(round(noise.pullback_T / dt))
+        dt = noise.pullback_T / n_steps
+        path = ou_path(realization_seed(noise.master_seed, k), -path_horizon,
+                       0.0, noise.h_path)
+        f = forcing_grid(p, init.half_width, init.space)
+
+        def F(t, U):
+            return _grid.random_field(p, sigma, path.at(t), U, f, init.space)
+
+        U, t = init.points.copy(), -noise.pullback_T
+        for _ in range(n_steps):
+            k1 = F(t, U)
+            k2 = F(t + 0.5 * dt, U + 0.5 * dt * k1)
+            k3 = F(t + 0.5 * dt, U + 0.5 * dt * k2)
+            k4 = F(t + dt, U + dt * k3)
+            U = U + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += dt
+        return U
+
+    @pytest.mark.parametrize("space", ["window", "truncated"])
+    @pytest.mark.parametrize("sign", ["paper", "continuum"])
+    def test_every_row_equals_a_plain_rk4_loop(self, params, space, sign):
+        p = params.replace(laplacian_sign=sign)
+        init = sample_ball(1.5, space, 4, 5, seed=3)
+        sigmas = (0.4, 0.1, 0.0)
+        # 235 steps of 2/235, not of 0.0085, on paths that reach back to -12
+        batch = pullback_batch(p, self.noise(), sigmas, range(3), 0.0085,
+                               init, path_horizon=12.0)
+        assert batch.finite.all()
+        for i, sigma in enumerate(sigmas):
+            for k in range(3):
+                one = self.rk4_oracle(p, self.noise(), sigma, k, 0.0085, init,
+                                      12.0)
+                assert batch.points[i, k].tobytes() == one.tobytes()
+
+    def test_an_overflowing_row_stays_flagged_next_to_exact_rows(self, params):
+        init = sample_ball(1.5, "truncated", 4, 5, seed=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = pullback_batch(params, self.noise(), (40.0, 0.1),
+                                   range(2), self.DT, init)
+        assert not batch.finite[0].any()
+        assert batch.finite[1].all()
+        for k in range(2):
+            one = self.rk4_oracle(params, self.noise(), 0.1, k, self.DT, init,
+                                  self.T)
+            assert batch.points[1, k].tobytes() == one.tobytes()
+
+    def test_records_the_step_it_took(self, params):
+        init = sample_ball(1.0, "truncated", 3, 4, seed=0)
+        batch = pullback_batch(params, self.noise(), (0.1,), range(1), 0.0085,
+                               init)
+        assert (batch.n_steps, batch.dt) == (235, self.T / 235)
+
+
+class TestNoiseTable:
+    @staticmethod
+    def table(params, path, t0, dt, n_steps):
+        f = forcing_grid(params, 3, "truncated")
+        return _NoiseTable(params, (0.1, 0.0), (path,), t0, dt, n_steps, f,
+                           "truncated")
+
+    @pytest.mark.parametrize("t_min, t_max", [(-5.0, -3.0), (-1.5, 0.0)])
+    def test_stage_times_off_the_path_are_refused(self, params, t_min, t_max):
+        # the stage times run over [-2, 0]: the first path ends before
+        # them, the second starts after them
+        path = ou_path(1, t_min, t_max, 0.01)
+        with pytest.raises(ValueError, match="time outside the path horizon"):
+            self.table(params, path, -2.0, 0.01, 200)
+
+    def test_stage_times_on_the_end_nodes_are_accepted(self, params):
+        path = ou_path(1, -1.0, 0.0, 0.25)
+        table = self.table(params, path, -1.0, 0.25, 4)
+        assert table.times[0] == path.grid[0]
+        assert table.times[-1] == path.grid[-1]
+
+    def test_a_call_off_its_stage_times_is_refused(self, params):
+        path = ou_path(1, -1.0, 0.0, 0.01)
+        table = self.table(params, path, -1.0, 0.01, 100)
+        U = np.zeros((2, 1, 1, 7))
+        table(-1.0, U)
+        table(-0.995, U)
+        with pytest.raises(ValueError, match="not in the noise table"):
+            table(-0.98, U)
+
+    def test_rows_span_blocks(self, params):
+        # more steps than one block: the rows past the first block are the
+        # fields at their own stage times
+        path = ou_path(2, -4.0, 0.0, 0.01)
+        n_steps = 2 * stochastic.TABLE_BLOCK_STEPS + 7
+        table = self.table(params, path, -4.0, 4.0 / n_steps, n_steps)
+        U = sample_ball(1.0, "truncated", 3, 2, seed=1).points
+        f = forcing_grid(params, 3, "truncated")
+        for t in table.times.tolist():
+            got = table(t, np.broadcast_to(U, (2, 1) + U.shape))
+            for i, sigma in enumerate((0.1, 0.0)):
+                one = _grid.random_field(params, sigma, path.at(t), U, f,
+                                         "truncated")
+                assert got[i, 0].tobytes() == one.tobytes()
