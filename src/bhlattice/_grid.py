@@ -14,6 +14,8 @@ Two boundary closures exist:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NoConvergence, NonFinite
@@ -105,7 +107,8 @@ def random_field(p, sigma: float, z: float, U: np.ndarray,
 
 
 def row_norms(U: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(U * U, axis=-1))
+    # the ufunc reduction np.sum calls, without its Python-level wrapper
+    return np.sqrt(np.add.reduce(U * U, axis=-1))
 
 
 def picard_solve(field_fn, u_prev: np.ndarray, eps: float, tol: float,
@@ -122,9 +125,9 @@ def picard_solve(field_fn, u_prev: np.ndarray, eps: float, tol: float,
     for it in range(1, max_iter + 1):
         y_new = u_prev + eps * Fy
         Fy_new = field_fn(y_new)
-        resid = float(np.max(row_norms(y_new - u_prev - eps * Fy_new)))
+        resid = float(row_norms(y_new - u_prev - eps * Fy_new).max())
         y, Fy = y_new, Fy_new
-        if not np.isfinite(resid):
+        if not math.isfinite(resid):
             raise NonFinite("fixed-point iterate overflowed")
         if resid <= tol:
             return y, resid, it, Fy

@@ -7,7 +7,6 @@ import dataclasses
 import json
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import NotStabilized, SpaceMismatch, _is_int, _is_real
 from .lattice import LatticeWindow, tail_mass
@@ -116,11 +115,17 @@ def _check_same_space(A: PointCloud, B: PointCloud):
 
 
 def _semi_arrays(a: np.ndarray, b: np.ndarray) -> float:
+    # imported on first use: loading scipy.spatial costs about 0.15 s
+    from scipy.spatial.distance import cdist
+
     dmat = cdist(a, b)
     return float(np.max(np.min(dmat, axis=1)))
 
 
 def _sym_arrays(a: np.ndarray, b: np.ndarray) -> float:
+    # imported on first use: loading scipy.spatial costs about 0.15 s
+    from scipy.spatial.distance import cdist
+
     # both semi-distances from one matrix: d(a, b) over its rows, d(b, a)
     # over its columns
     dmat = cdist(a, b)

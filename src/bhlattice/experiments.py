@@ -48,6 +48,8 @@ REFERENCE_STEPS_PER_EPS = 25
 # the bound sweep: forcing scalings c of f, each at every damping lam
 BOUNDS_FORCING_SCALES = (1.0, 0.5, 0.25, 0.0)
 BOUNDS_DAMPINGS = (8.0, 10.0, 12.0)
+# the window half-width of the bound sweep's attractors
+BOUNDS_HALF_WIDTH = 32
 
 
 @dataclasses.dataclass
@@ -101,6 +103,10 @@ class ExperimentConfig:
             raise ValueError("master_seed must be a nonnegative integer")
         if not isinstance(self.output_dir, str):
             raise ValueError("output_dir must be a string")
+        if not self.params.f.fits(self.window_half_width):
+            raise ValueError(
+                f"params.f has support {list(self.params.f.support)}, outside "
+                f"the window of window_half_width {self.window_half_width}")
 
     def validate(self):
         dc = derived_constants(self.params)
@@ -461,6 +467,10 @@ def run_bounds(cfg: ExperimentConfig) -> ResultTable:
     across the forcing scalings BOUNDS_FORCING_SCALES and the ascending
     dampings BOUNDS_DAMPINGS."""
     base = cfg.params
+    if not base.f.fits(BOUNDS_HALF_WIDTH):
+        raise ConfigError(
+            f"params.f has support {list(base.f.support)}, outside the bound "
+            f"sweep's window of half-width {BOUNDS_HALF_WIDTH}")
     m = cfg.noise_m
     rows = {"c": [], "lam": [], "norm_window": [], "norm_trunc": [],
             "bound": []}
@@ -472,7 +482,7 @@ def run_bounds(cfg: ExperimentConfig) -> ResultTable:
             p = base.replace(f=f, lam=lam)
             dc = derived_constants(p)
             eps = min(0.005, 0.9 * dc.eps_star)
-            a_w = implicit_attractor(p, eps, cfg.attractor, 32)
+            a_w = implicit_attractor(p, eps, cfg.attractor, BOUNDS_HALF_WIDTH)
             a_t = implicit_attractor(p, eps, cfg.attractor, m,
                                      mode="truncated")
             rows["c"].append(c)

@@ -83,13 +83,18 @@ class LatticeWindow:
             return float(self.values[j])
         return 0.0
 
+    def fits(self, half_width: int) -> bool:
+        """Whether the stored window lies in [-half_width, half_width]."""
+        lo, hi = self.support
+        return -half_width <= lo and hi <= half_width
+
     def to_grid(self, half_width: int) -> np.ndarray:
         """Dense array over [-half_width, half_width]; raises if mass is lost."""
-        lo, hi = self.support
-        if self.values.size and (lo < -half_width or hi > half_width):
+        if not self.fits(half_width):
             raise ValueError("window support exceeds the requested grid")
         grid = np.zeros(2 * half_width + 1)
         if self.values.size:
+            lo, hi = self.support
             grid[lo + half_width : hi + half_width + 1] = self.values
         return grid
 

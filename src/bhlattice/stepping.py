@@ -8,7 +8,6 @@ import hashlib
 import warnings
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import _grid
 from .errors import NoConvergence, NonFinite, StepTooLarge
@@ -73,8 +72,7 @@ def forcing_grid(p: Params, half_width: int, mode: str) -> np.ndarray:
 
 
 def _to_grid_clamped(u: LatticeWindow, half_width: int) -> np.ndarray:
-    lo, hi = u.support
-    if u.values.size and (lo < -half_width or hi > half_width):
+    if not u.fits(half_width):
         grid = u.clip_to_grid(half_width)
         clipped = u.norm() ** 2 - float(grid @ grid)
         if clipped > CLIP_MASS_WARN:
@@ -229,6 +227,9 @@ def equilibrium(p: Params, half_width: int, mode: str = "window"):
     Returns (u*, max|F(u*)|, iterations).  Stops once max|F| <=
     EQUILIBRIUM_TOL; raises NoConvergence after EQUILIBRIUM_MAX_ITER
     iterations and NonFinite if an iterate overflows."""
+    # imported on first use: loading scipy.linalg costs about 0.3 s
+    from scipy.linalg import solve_banded
+
     f_grid = forcing_grid(p, half_width, mode)
     u = np.zeros(2 * half_width + 1)
     it = 0

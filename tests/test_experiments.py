@@ -702,6 +702,47 @@ class TestCli:
                      command]) == 2
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    @pytest.mark.parametrize("command", ["simulate", "verify", "attractor"])
+    @pytest.mark.parametrize("doc", [
+        {"window_half_width": 4,
+         "params": {"f": {"offset": 5, "values": [1.0]}}},
+        {"window_half_width": 4,
+         "params": {"f": {"offset": -6, "values": [1.0, 1.0]}}},
+        # the default half-width is 128
+        {"params": {"f": {"offset": 200, "values": [1.0]}}},
+    ])
+    def test_forcing_outside_the_window_exits_2(self, tmp_path, monkeypatch,
+                                                capsys, command, doc):
+        self.refused_forcing(tmp_path, monkeypatch, capsys, command, doc)
+
+    def test_forcing_outside_the_bound_sweep_window_exits_2(
+            self, tmp_path, monkeypatch, capsys):
+        # inside the default half-width 128, outside the sweep's 32
+        doc = {"params": {"f": {"offset": 40, "values": [1.0]}}}
+        self.refused_forcing(tmp_path, monkeypatch, capsys, "bounds", doc)
+
+    @staticmethod
+    def refused_forcing(tmp_path, monkeypatch, capsys, command, doc):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated a forcing the window cannot hold")
+
+        monkeypatch.setattr(_grid, "field", refuse)
+        monkeypatch.setattr(_grid, "picard_solve", refuse)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path),
+                     command]) == 2
+        err = capsys.readouterr().err
+        assert "params.f has support" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_forcing_on_the_window_edge_is_accepted(self):
+        cfg = cli._config_from_dict({
+            "window_half_width": 4,
+            "params": {"f": {"offset": -4, "values": [1.0] + [0.0] * 7
+                             + [1.0]}}})
+        assert cfg.params.f.support == (-4, 4)
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--steps", "-1"],
         ["simulate", "--eps", "-0.1"],
