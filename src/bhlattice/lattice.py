@@ -301,55 +301,6 @@ def derived_constants(p: Params) -> DerivedConstants:
     )
 
 
-# halvings of [0, r] that locate the maximizer in contraction_bound: they
-# leave a bracket of r * 2^-60, below the roundoff of r
-_BOUND_BISECTIONS = 60
-
-
-def contraction_bound(p: Params, r: float) -> float:
-    """Upper bound on the logarithmic 2-norm (the largest eigenvalue of the
-    symmetric part) of the field's Jacobian at every u with ||u|| <= r, on
-    the window and on the truncated system:
-
-        mu(r) = l0 + max_{x^2 + s^2 <= r^2} [2 c1 x - 3 beta x^2
-                                             + alpha |x|/2 + (sqrt5/2) alpha s]
-
-    with c1 = alpha + beta (1 + gamma) and l0 = 4 nu - beta gamma - lam
-    (paper sign) or -beta gamma - lam (continuum sign), the Gershgorin bound
-    at u = 0.  The maximum is Gershgorin on the part of the Jacobian that
-    depends on u, row i at x = u_i and s^2 = u_{i-1}^2 + u_{i+1}^2.  A
-    negative mu(r) makes the field strongly monotone on the ball, so the flow
-    and implicit Euler at any step contract there."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    l0 = (4.0 * p.nu if p.laplacian_sign == "paper" else 0.0) \
-        - p.beta * p.gamma - p.lam
-    if r == 0:
-        return l0
-    # with s = sqrt(r^2 - x^2) the bracket is g(x) = a x - b x^2 + k s on
-    # x >= 0, and g(-x) <= g(x) since c1 > 0; g is concave with g'(0) = a > 0
-    # and g' -> -inf at x = r, so bisect on the sign of g'
-    a = 2.0 * (p.alpha + p.beta * (1.0 + p.gamma)) + 0.5 * p.alpha
-    b = 3.0 * p.beta
-    k = 0.5 * math.sqrt(5.0) * p.alpha
-
-    def slope(x):
-        s = math.sqrt(max(r * r - x * x, 0.0))
-        return a - 2.0 * b * x - (k * x / s if s else math.inf)
-
-    lo, hi = 0.0, r
-    for _ in range(_BOUND_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    # the maximizer lies in [lo, hi], where g'(lo) > 0; concavity bounds g
-    # there by its tangent at lo
-    g = a * lo - b * lo * lo + k * math.sqrt(max(r * r - lo * lo, 0.0))
-    return l0 + g + slope(lo) * (hi - lo)
-
-
 # -- vector field ----------------------------------------------------------
 
 

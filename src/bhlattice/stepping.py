@@ -244,3 +244,31 @@ def equilibrium(p: Params, half_width: int, mode: str = "window"):
             raise NoConvergence(it, resid)
         u = u - solve_banded((1, 1), _grid.field_jacobian(p, u, mode), F)
         it += 1
+
+
+def point_contraction(p: Params, u: np.ndarray, mode: str = "window") -> float:
+    """kappa = mu* + c^2/(4 beta) at the grid u of the system ``mode``: mu*
+    the largest eigenvalue of the symmetric part of the field's Jacobian
+    at u, and c = 2 alpha + beta max_i |1 + gamma - 3 u_i|.
+
+    At a zero u* of the field, <F(u* + w), w> <= kappa ||w||^2 for every
+    w: the quadratic terms of F(u* + w) - J(u*)w give at most c sum |w_i|^3
+    (Young's inequality), and c|w_i|^3 - beta w_i^4 <= (c^2/(4 beta)) w_i^2.
+    So kappa < 0 makes u* the one attractor of the flow and of implicit
+    Euler at every step."""
+    # imported on first use: loading scipy.linalg costs about 0.3 s
+    from scipy.linalg.lapack import dstebz
+
+    bands = _grid.field_jacobian(p, u, mode)
+    n = u.size
+    # LAPACK's bisection for the n-th of n eigenvalues (range 2, il = iu =
+    # n), the routine that scipy.linalg.eigvalsh_tridiagonal(select="i")
+    # calls, without the wrapper's argument checks, which cost more than the
+    # bisection itself on the truncated systems
+    _, top, _, _, info = dstebz(
+        bands[1], 0.5 * (bands[0, 1:] + bands[2, :-1]), 2, 0.0, 0.0, n, n,
+        0.0, "E")
+    if info:
+        raise np.linalg.LinAlgError(f"dstebz failed with info={info}")
+    c = 2.0 * p.alpha + p.beta * float(np.max(np.abs(1.0 + p.gamma - 3.0 * u)))
+    return float(top[0]) + c * c / (4.0 * p.beta)

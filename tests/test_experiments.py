@@ -18,7 +18,6 @@ from bhlattice import (
     StepConfig,
     StepTooLarge,
     attractor_approx,
-    contraction_bound,
     default_config,
     default_params,
     derived_constants,
@@ -28,6 +27,7 @@ from bhlattice import (
     l_bound,
     local_error,
     m_bound,
+    point_contraction,
     run_error_order,
     run_noise_convergence,
     verify,
@@ -103,9 +103,9 @@ class TestAttractorClouds:
                                                   (8, "truncated")])
     def test_stopped_cloud_moves_at_most_tol_afterwards(self, half_width,
                                                         mode):
-        # twice the forcing is not certified (mu(R) > 0), so the cloud is
-        # evolved; eps* = 0.0058 there
-        p, eps = default_params(f_scale=2.0), 0.005
+        # three times the forcing is not certified (kappa > 0), so the cloud
+        # is evolved; eps* = 0.0036 there
+        p, eps = default_params(f_scale=3.0), 0.003
         base = self.acceptance_attractor_cfg()
         A = experiments.implicit_attractor(p, eps, base, half_width, mode)
         assert A.meta["certified"] is False
@@ -126,8 +126,9 @@ class TestAttractorClouds:
         A = experiments.implicit_attractor(p, eps, base, half_width, mode)
         assert len(A) == 1
         assert A.meta["certified"] is True
-        assert A.meta["mu_bound"] == contraction_bound(p, 1.0) < 0
-        assert A.meta["R"] == 1.0
+        u, _, _ = stepping.equilibrium(p, half_width, mode)
+        assert A.meta["kappa"] == point_contraction(p, u, mode) < 0
+        assert A.meta["kappa"] == pytest.approx(-0.959, abs=1e-3)
         assert (A.meta["steps_evolved"], A.meta["rounds"],
                 A.meta["contraction_ratio"]) == (0, 0, None)
         assert A.meta["max_F"] <= stepping.EQUILIBRIUM_TOL
@@ -140,13 +141,9 @@ class TestAttractorClouds:
         moved = hausdorff_sym(A, PointCloud(mode, half_width, later))
         assert moved <= base.stabilization_tol
 
-    @pytest.mark.parametrize("half_width, mode", [(64, "window"),
-                                                  (8, "truncated")])
-    def test_certified_point_lies_within_tol_of_the_evolved_cloud(
-            self, half_width, mode):
-        """At the acceptance config the Newton zero is within tol of the
-        cloud that the evolve-until-stable path stops at."""
-        p, eps = default_params(), 0.01
+    def evolved_and_point(self, p, eps, half_width, mode):
+        """The cloud that the evolve-until-stable path stops at, built by
+        attractor_approx directly, and implicit_attractor's cloud."""
         base = self.acceptance_attractor_cfg()
         dc = derived_constants(p)
         acfg = attractor_config_for_eps(base, eps, p.lam - dc.lambda_star)
@@ -156,15 +153,40 @@ class TestAttractorClouds:
             acfg, dc.r_star, mode, half_width)
         point = experiments.implicit_attractor(p, eps, base, half_width, mode)
         assert len(cloud) == base.sample_count and len(point) == 1
-        assert hausdorff_sym(cloud, point) <= base.stabilization_tol
+        return cloud, point
+
+    @pytest.mark.parametrize("half_width, mode", [(64, "window"),
+                                                  (8, "truncated")])
+    def test_certified_point_lies_within_tol_of_the_evolved_cloud(
+            self, half_width, mode):
+        """At the acceptance config the Newton zero is within tol of the
+        cloud that the evolve-until-stable path stops at."""
+        cloud, point = self.evolved_and_point(default_params(), 0.01,
+                                              half_width, mode)
+        assert hausdorff_sym(cloud, point) <= \
+            self.acceptance_attractor_cfg().stabilization_tol
+
+    @pytest.mark.parametrize("half_width, mode", [(16, "window"),
+                                                  (8, "truncated")])
+    def test_twice_the_forcing_is_certified_within_tol_of_the_evolved_cloud(
+            self, half_width, mode):
+        """Twice the default forcing is certified (kappa = -0.149), and its
+        Newton zero is within tol of the cloud that the evolve-until-stable
+        path stops at."""
+        cloud, point = self.evolved_and_point(default_params(f_scale=2.0),
+                                              0.005, half_width, mode)
+        assert point.meta["certified"] is True
+        assert point.meta["kappa"] == pytest.approx(-0.149, abs=1e-3)
+        assert hausdorff_sym(cloud, point) <= \
+            self.acceptance_attractor_cfg().stabilization_tol
 
     def test_uncertified_config_builds_its_cloud_through_attractor_approx(
             self, monkeypatch):
-        p = default_params(f_scale=2.0)
+        p = default_params(f_scale=3.0)
         dc = derived_constants(p)
-        assert experiments.point_certificate(p, dc) == (
-            2.0, pytest.approx(0.0327, abs=1e-4))
-        assert dc.eps_star == pytest.approx(0.00578, abs=1e-5)
+        assert experiments.point_certificate(p, 4, "window")[1]["kappa"] == \
+            pytest.approx(0.3585, abs=1e-4)
+        assert dc.eps_star == pytest.approx(0.00358, abs=1e-5)
         built = []
 
         def counting(*args, **kwargs):
@@ -173,23 +195,36 @@ class TestAttractorClouds:
 
         monkeypatch.setattr(experiments, "attractor_approx", counting)
         base = AttractorConfig(sample_count=4, seed=0)
-        A = experiments.implicit_attractor(p, 0.005, base, 4)
-        F = experiments.flow_attractor(p, 0.005, base, 4, mode="truncated")
+        A = experiments.implicit_attractor(p, 0.003, base, 4)
+        F = experiments.flow_attractor(p, 0.003, base, 4, mode="truncated")
         assert built == ["window", "truncated"]
         for cloud in (A, F):
             assert len(cloud) == 4 and cloud.meta["steps_evolved"] > 0
             assert cloud.meta["certified"] is False
-            assert cloud.meta["mu_bound"] > 0 and cloud.meta["R"] == 2.0
+            assert cloud.meta["kappa"] == pytest.approx(0.3585, abs=1e-3)
+
+    @pytest.mark.parametrize("error", [NoConvergence(50, 3e-9),
+                                       NonFinite("Newton iterate overflowed")])
+    def test_newton_failure_falls_through_to_the_evolved_cloud(
+            self, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(experiments, "equilibrium", fail)
+        A = experiments.implicit_attractor(
+            default_params(), 0.01, AttractorConfig(sample_count=2), 4)
+        assert len(A) == 2 and A.meta["steps_evolved"] > 0
+        assert (A.meta["certified"], A.meta["kappa"]) == (False, None)
 
     def test_step_above_cap_is_refused_on_the_certified_path(
             self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("evaluated the field above eps*")
 
-        monkeypatch.setattr(_grid, "field", refuse)
         p = default_params()
         dc = derived_constants(p)
-        assert experiments.point_certificate(p, dc)[1] < 0
+        assert experiments.point_certificate(p, 4, "window")[1]["certified"]
+        monkeypatch.setattr(_grid, "field", refuse)
         with pytest.raises(StepTooLarge):
             experiments.implicit_attractor(p, 2 * dc.eps_star,
                                            AttractorConfig(sample_count=2), 4)
@@ -202,20 +237,52 @@ class TestAttractorClouds:
         monkeypatch.setattr(experiments, "advance_grid", refuse)
         monkeypatch.setattr(_grid, "rk4", refuse)
         monkeypatch.setattr(_grid, "picard_solve", refuse)
-        # lam - lam* = 1e-5: a round at eps = 0.005 is 4e7 steps
+        # the default forcing at lam - lam* = 0.01 is not certified (kappa
+        # = +0.87), and eps* = 3.15e-7 there: a round at eps = 3e-7 is
+        # 6.7e8 steps
+        lam = 6.5625 + 0.01
+        p = default_params(lam=lam)
+        base = AttractorConfig(sample_count=2)
+        assert derived_constants(p).eps_star > 3e-7
+        with pytest.raises(ConfigError,
+                           match=r"eps=3e-07 .* takes 6\.667e\+08"):
+            experiments.implicit_attractor(p, 3e-7, base, 4)
+        with pytest.raises(ConfigError, match="above the budget"):
+            experiments.flow_attractor(p, 1e-4, base, 4)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"params": {"lam": lam}}))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path),
+                     "attractor", "--eps", "3e-7"]) == 2
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_certified_config_over_the_round_budget_runs_no_round(
+            self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("advanced a certified cloud")
+
+        monkeypatch.setattr(_grid, "rk4", refuse)
+        monkeypatch.setattr(_grid, "picard_solve", refuse)
+        # unforced at lam - lam* = 1e-5: a round at eps = 0.005 would be
+        # 4e7 steps, but the attractor is certified to be {0}
         lam = 6.5625 + 1e-5
         p = default_params(f_scale=0.0, lam=lam)
         base = AttractorConfig(sample_count=2)
-        with pytest.raises(ConfigError, match=r"eps=0\.005 .* takes 4e\+07"):
-            experiments.implicit_attractor(p, 0.005, base, 4)
-        with pytest.raises(ConfigError, match="above the budget"):
-            experiments.flow_attractor(p, 0.005, base, 4)
+        for cloud in (experiments.implicit_attractor(p, 0.005, base, 4),
+                      experiments.flow_attractor(p, 0.005, base, 4)):
+            assert cloud.points.tolist() == [[0.0] * 9]
+            assert cloud.meta["certified"] is True
+            # lam* - lam - 2 nu (1 - cos(pi/10)) on the 9 sites
+            assert cloud.meta["kappa"] == pytest.approx(
+                -1e-5 - 2.0 * (1.0 - math.cos(math.pi / 10)), abs=1e-12)
+            assert cloud.meta["steps_evolved"] == 0
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "params": {"lam": lam, "f": {"offset": 0, "values": []}}}))
-        assert main(["--config", str(cfg_path), "--out", str(tmp_path),
-                     "attractor", "--eps", "0.005"]) == 2
-        assert os.listdir(tmp_path) == ["cfg.json"]
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out),
+                     "attractor", "--eps", "0.005"]) == 0
+        meta = json.loads((out / "cloud_eps0.005.json").read_text())["meta"]
+        assert (meta["certified"], meta["steps_evolved"]) == (True, 0)
 
 
 class TestTrend:
@@ -437,40 +504,38 @@ class TestVerify:
         assert step_cap["contraction_factor"] < 1.0
         point = report["checks"][3]["witness"]
         assert point["certified"] is True
-        assert point["R"] == 1.0
-        assert point["mu_bound"] == pytest.approx(-1.3193, abs=1e-4)
+        assert point["kappa"] == pytest.approx(-0.9592, abs=1e-4)
         assert point["max_F"] <= stepping.EQUILIBRIUM_TOL
         assert 1 <= point["newton_iterations"] <= 10
 
-    def test_uncertified_config_passes_point_attractor_unsolved(
-            self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("solved for an uncertified point")
-
-        monkeypatch.setattr(experiments, "equilibrium", refuse)
-        cfg = default_config(params=default_params(f_scale=2.0))
-        cfg.grids = GridConfig(eps_list=(0.005,))
+    def test_three_times_the_forcing_passes_point_attractor_uncertified(self):
+        cfg = default_config(params=default_params(f_scale=3.0))
+        cfg.grids = GridConfig(eps_list=(0.003,))
         ok, report = verify(cfg)
         assert ok
         check = report["checks"][-1]
         assert check["check"] == "point_attractor"
         witness = check["witness"]
-        assert (witness["certified"], witness["R"],
-                witness["newton_iterations"], witness["max_F"]) == \
-            (False, 2.0, None, None)
-        assert witness["mu_bound"] > 0
+        # Newton converges, but J(u*) is not contracting enough: kappa > 0
+        assert witness["certified"] is False
+        assert witness["kappa"] == pytest.approx(0.3587, abs=1e-4)
+        assert witness["max_F"] <= stepping.EQUILIBRIUM_TOL
+        assert 1 <= witness["newton_iterations"] <= 10
 
-    def test_certified_newton_failure_fails_point_attractor(
+    def test_uncertified_config_passes_point_attractor_unsolved(
             self, monkeypatch):
+        """A Newton failure leaves the config uncertified, with the solver's
+        residual and iteration count, and point_attractor still passes."""
         def fail(*args, **kwargs):
             raise NoConvergence(50, 3e-9)
 
         monkeypatch.setattr(experiments, "equilibrium", fail)
         ok, report = verify(default_config())
-        assert not ok
+        assert ok
         check = report["checks"][-1]
-        assert (check["check"], check["status"]) == ("point_attractor", "fail")
-        assert check["witness"]["certified"] is True
+        assert (check["check"], check["status"]) == ("point_attractor", "pass")
+        assert (check["witness"]["certified"],
+                check["witness"]["kappa"]) == (False, None)
         assert (check["witness"]["newton_iterations"],
                 check["witness"]["max_F"]) == (50, 3e-9)
         json.dumps(report)
@@ -568,12 +633,12 @@ class TestCli:
         return clouds
 
     def test_seed_override_changes_the_attractor_cloud(self, tmp_path):
-        # twice the forcing: not certified, so the cloud is evolved from
-        # the seed's ball sample
+        # three times the forcing: not certified, so the cloud is evolved
+        # from the seed's ball sample
         clouds = self.seeded_clouds(tmp_path, {
-            "params": {"f": {"offset": 0, "values": [2.875]}},
+            "params": {"f": {"offset": 0, "values": [4.3125]}},
             "attractor": {"sample_count": 2}, "window_half_width": 4},
-            "0.005")
+            "0.003")
         assert [c["meta"]["certified"] for c in clouds] == [False, False]
         clouds = [c["points"] for c in clouds]
         assert clouds[0] != clouds[1]
@@ -818,17 +883,22 @@ class TestCli:
         return meta, steps
 
     def test_every_subcommand_runs_at_a_tiny_config(self, tmp_path, capsys):
-        # twice the forcing, so the clouds are evolved; eps* = 0.0058 there
-        doc = dict(self.TINY, params={"f": {"offset": 0, "values": [2.875]}},
-                   grids=dict(self.TINY["grids"], eps_list=[0.005]),
-                   reference={"eps_ref": 0.001})
+        # three times the forcing, so the clouds are evolved; eps* = 0.0036
+        # there
+        doc = dict(self.TINY, params={"f": {"offset": 0, "values": [4.3125]}},
+                   grids=dict(self.TINY["grids"], eps_list=[0.003]),
+                   reference={"eps_ref": 0.0005})
         meta, steps = self.run_every_subcommand(tmp_path, capsys, doc,
-                                                "0.005")
+                                                "0.003")
         # every cloud says how it stopped, every table how long each of its
-        # clouds was evolved; a round is ceil(2/(0.005 * 1.4375)) steps
+        # clouds was evolved; a round is ceil(2/(0.003 * 1.4375)) steps
         assert meta["certified"] is False
-        assert meta["steps_evolved"] == (meta["rounds"] + 1) * 279
+        assert meta["steps_evolved"] == (meta["rounds"] + 1) * 464
         assert {"stabilized_distance", "contraction_ratio"} <= set(meta)
+        prov = json.loads(
+            (tmp_path / "out" / "eps_convergence.meta.json").read_text())
+        assert prov["certified"] is False and prov["kappa"] > 0
+        assert "distances" not in prov
         assert set(steps("eps_convergence")) == {"reference", "rows"}
         assert len(steps("eps_convergence")["rows"]) == 1
         assert len(steps("dim_convergence")["rows"]) == 2
@@ -840,11 +910,19 @@ class TestCli:
         meta, steps = self.run_every_subcommand(tmp_path, capsys, self.TINY,
                                                 "0.01")
         # the certified cloud is the Newton zero, evolved by no step
-        assert meta["certified"] is True and meta["mu_bound"] < 0
+        assert meta["certified"] is True and meta["kappa"] < 0
         assert (meta["steps_evolved"], meta["rounds"],
                 meta["contraction_ratio"]) == (0, 0, None)
         assert meta["max_F"] <= stepping.EQUILIBRIUM_TOL
         assert steps("eps_convergence") == {"reference": 0, "rows": [0]}
+        # the eps-study compares u* with itself, and says so
+        prov = json.loads(
+            (tmp_path / "out" / "eps_convergence.meta.json").read_text())
+        assert prov["certified"] is True and prov["kappa"] == meta["kappa"]
+        assert prov["distances"].startswith("0 by construction")
+        table = (tmp_path / "out" / "eps_convergence.csv").read_text()
+        assert [row.split(",")[1:3] for row in table.splitlines()[1:]] == \
+            [["0", "0"]]
         assert steps("dim_convergence") == {"window": 0, "rows": [0, 0]}
         assert steps("noise_convergence") == {"deterministic": 0}
         # every (c, lam) row of the sweep is certified

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -10,7 +10,6 @@ from bhlattice import (
     DissipativityViolation,
     LatticeWindow,
     Params,
-    contraction_bound,
     cutoff_xi,
     d_minus,
     d_plus,
@@ -21,10 +20,11 @@ from bhlattice import (
     laplacian,
     m_bound,
     norm_lp,
+    point_contraction,
     tail_mass,
     vector_field,
 )
-from bhlattice import _grid
+from bhlattice import _grid, stepping
 
 
 def random_window(rng, half=8, radius=None):
@@ -306,7 +306,14 @@ def dense_jacobian(p, U, mode):
 
 
 class TestContractionBound:
-    DEFAULT = Params(nu=1.0, alpha=1.0, beta=1.0, gamma=0.5, lam=8.0)
+    """kappa = mu* + c^2/(4 beta) of ``stepping.point_contraction``, the
+    one-sided Lipschitz bound of the field around its zero u*."""
+
+    @staticmethod
+    def forced(f_scale, sign, lam=8.0):
+        return Params(nu=1.0, alpha=1.0, beta=1.0, gamma=0.5, lam=lam,
+                      f=LatticeWindow.basis(0, 1.4375 * f_scale),
+                      laplacian_sign=sign)
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
@@ -319,8 +326,8 @@ class TestContractionBound:
            radius=st.floats(0.0, 3.0))
     def test_bounds_the_symmetric_jacobian(self, coeffs, gamma, lam, sign,
                                            mode, direction, radius):
-        """lambda_max((J(u) + J(u)^T)/2) <= mu(||u||), both signs and
-        both closures."""
+        """kappa(u) - c^2/(4 beta) is lambda_max((J(u) + J(u)^T)/2), the
+        dense matrix's, at any state u, both signs and both closures."""
         if direction.size % 2 == 0:
             direction = direction[:-1]
         nu, alpha, beta = coeffs
@@ -330,8 +337,35 @@ class TestContractionBound:
         U = radius * direction / length if length else direction
         J = dense_jacobian(p, U, mode)
         top = np.linalg.eigvalsh(0.5 * (J + J.T))[-1]
-        bound = contraction_bound(p, float(np.linalg.norm(U)))
-        assert top <= bound + 1e-12 * (1.0 + abs(bound))
+        c = 2.0 * alpha + beta * np.max(np.abs(1.0 + gamma - 3.0 * U))
+        kappa = point_contraction(p, U, mode)
+        assert kappa - c * c / (4.0 * beta) == pytest.approx(
+            top, abs=1e-12 * (1.0 + np.abs(J).max()))
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(f_scale=st.floats(0.5, 4.0),
+           sign=st.sampled_from(["paper", "continuum"]),
+           mode=st.sampled_from(["window", "truncated"]),
+           direction=hnp.arrays(float, st.sampled_from([5, 9, 17]),
+                                elements=st.floats(-1.0, 1.0)),
+           log_scale=st.floats(-2.0, 2.0))
+    def test_one_sided_bound_holds_around_the_zero(self, f_scale, sign, mode,
+                                                   direction, log_scale):
+        """<F(u* + w) - F(u*), w> <= kappa ||w||^2 at the Newton zero u*,
+        for forcings 0.5 to 4 times the default and ||w|| from 1e-2 to
+        1e2, both signs and both closures."""
+        assume(np.linalg.norm(direction) > 0.0)
+        p = self.forced(f_scale, sign)
+        half = (direction.size - 1) // 2
+        u, _, _ = stepping.equilibrium(p, half, mode)
+        kappa = point_contraction(p, u, mode)
+        w = 10.0 ** log_scale * direction / np.linalg.norm(direction)
+        f = stepping.forcing_grid(p, half, mode)
+        lhs = float((_grid.field(p, u + w, f, mode)
+                     - _grid.field(p, u, f, mode)) @ w)
+        assert lhs <= kappa * float(w @ w) + 1e-12 * (
+            1.0 + float(w @ w) + float(np.sum(w**4)))
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
@@ -342,9 +376,10 @@ class TestContractionBound:
                         elements=st.floats(-4.0, 4.0)))
     def test_energy_inequality_holds_for_every_state(self, scale, lam_gap,
                                                      sign, mode, U):
-        """<F(u), u> <= -(lam - lam*)||u||^2 + <f, u>: the ball of radius
-        ||f||/(lam - lam*) that contraction_bound is applied on is forward
-        invariant, on both closures and for both signs."""
+        """<F(u), u> <= -(lam - lam*)||u||^2 + <f, u>: every ball of
+        radius at least ||f||/(lam - lam*), the absorbing ball the evolved
+        clouds start from among them, is forward invariant, on both
+        closures and for both signs."""
         p = Params(nu=1.0, alpha=1.0, beta=1.0, gamma=0.5,
                    lam=6.5625 + lam_gap, f=LatticeWindow.basis(0, scale),
                    laplacian_sign=sign)
@@ -354,32 +389,23 @@ class TestContractionBound:
         rhs = -lam_gap * float(U @ U) + float(f @ U)
         assert lhs <= rhs + 1e-12 * (1.0 + float(U @ U) ** 2)
 
-    @pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 2.0, 5.0])
-    def test_maximization_matches_a_grid_search(self, r):
-        """The bisection's maximum of the bracket against a brute-force
-        search over x in [-r, r] with s = sqrt(r^2 - x^2)."""
-        p = self.DEFAULT
-        x = np.linspace(-r, r, 400_001)
-        c1 = p.alpha + p.beta * (1.0 + p.gamma)
-        bracket = (2 * c1 * x - 3 * p.beta * x**2 + p.alpha * np.abs(x) / 2
-                   + math.sqrt(5) / 2 * p.alpha * np.sqrt(r * r - x * x))
-        brute = 4 * p.nu - p.beta * p.gamma - p.lam + bracket.max()
-        bound = contraction_bound(p, r)
-        assert brute <= bound <= brute + 1e-9
-
     def test_values_at_the_default_parameters(self):
-        p = self.DEFAULT
-        continuum = p.replace(laplacian_sign="continuum")
-        # l0 = 4 nu - beta gamma - lam, and -beta gamma - lam
-        assert contraction_bound(p, 0.0) == -4.5
-        assert contraction_bound(continuum, 0.0) == -8.5
-        # R = ||f||/(lam - lam*) = 1 at the default forcing, 2 at twice it
-        assert contraction_bound(p, 1.0) == pytest.approx(-1.31929, abs=1e-5)
-        assert contraction_bound(continuum, 1.0) == pytest.approx(
-            contraction_bound(p, 1.0) - 4.0, abs=1e-12)
-        assert contraction_bound(p, 2.0) == pytest.approx(0.03273, abs=1e-5)
-        radii = np.linspace(0.0, 4.0, 41)
-        values = [contraction_bound(p, r) for r in radii]
-        assert values == sorted(values)
-        with pytest.raises(ValueError):
-            contraction_bound(p, -1.0)
+        # at u = 0 with the paper sign, mu* = 2 nu - beta gamma - lam
+        # + 2 nu cos(pi/(n + 1)) and c = 2 alpha + beta (1 + gamma), so
+        # kappa = lam* - lam - 2 nu (1 - cos(pi/(n + 1)))
+        for half in (2, 8, 64):
+            n = 2 * half + 1
+            unforced = self.forced(0.0, "paper", lam=6.5625 + 1e-5)
+            assert point_contraction(unforced, np.zeros(n)) == pytest.approx(
+                -1e-5 - 2.0 * (1.0 - math.cos(math.pi / (n + 1))),
+                abs=1e-12)
+        # at the Newton zero of the window K = 64: 1, 2 and 3 times the
+        # default forcing, paper sign, then the default continuum sign
+        values = []
+        for f_scale, sign in ((1.0, "paper"), (2.0, "paper"),
+                              (3.0, "paper"), (1.0, "continuum")):
+            p = self.forced(f_scale, sign)
+            u, _, _ = stepping.equilibrium(p, 64)
+            values.append(point_contraction(p, u))
+        assert values == pytest.approx([-0.9592, -0.1493, 0.3587, -5.3728],
+                                       abs=1e-4)
