@@ -524,8 +524,32 @@ class TestVerify:
 
     def test_uncertified_config_passes_point_attractor_unsolved(
             self, monkeypatch):
-        """A Newton failure leaves the config uncertified, with the solver's
-        residual and iteration count, and point_attractor still passes."""
+        """An overflowing Newton solve leaves no zero to certify: the config
+        is uncertified, with the solver's error, and point_attractor still
+        passes."""
+        def overflow(*args, **kwargs):
+            raise NonFinite("Newton iterate overflowed")
+
+        monkeypatch.setattr(experiments, "equilibrium", overflow)
+        cfg = default_config(params=default_params(f_scale=3.0))
+        cfg.grids = GridConfig(eps_list=(0.003,))
+        ok, report = verify(cfg)
+        assert ok
+        check = report["checks"][-1]
+        assert check["check"] == "point_attractor"
+        witness = check["witness"]
+        assert (witness["certified"], witness["kappa"],
+                witness["newton_iterations"], witness["max_F"]) == \
+            (False, None, None, None)
+        assert witness["error"] == "Newton iterate overflowed"
+        json.dumps(report)
+
+    def test_newton_failure_leaves_point_attractor_uncertified(
+            self, monkeypatch):
+        """Certification needs a converged Newton solve, so a Newton failure
+        on the default (otherwise certified) config leaves it uncertified,
+        with the solver's residual and iteration count, and point_attractor
+        still passes."""
         def fail(*args, **kwargs):
             raise NoConvergence(50, 3e-9)
 
