@@ -11,14 +11,12 @@ from .errors import (BhLatticeError, ConfigError, DissipativityViolation,
 from .lattice import (DerivedConstants, LatticeWindow, Params, cutoff_xi,
                       d_minus, d_plus, derived_constants, l_bound,
                       lambda_star, lambda_star_coeffs, laplacian, m_bound,
-                      norm_lp, tail_mass, vector_field)
+                      tail_mass, vector_field)
 from .stepping import (StepConfig, StepInfo, Trajectory, equilibrium,
                        global_error, implicit_step_info, local_error,
                        point_contraction, reference_flow, reference_flows,
                        run_trajectory)
-from .truncation import (TruncatedState, d_minus_m, d_minus_matrix, d_plus_m,
-                         d_plus_matrix, laplacian_m, laplacian_matrix,
-                         restriction, truncated_field, truncated_trajectory)
+from .truncation import restriction, truncated_field
 from .attractor import (AttractorConfig, PointCloud, attractor_approx,
                         cloud_from_json, cloud_norm, cloud_to_json,
                         embed_cloud, hausdorff_semi, hausdorff_sym,

@@ -63,8 +63,8 @@ class GridConfig:
         # an empty list is left to validate and verify, which report it
         positive = ("positive numbers", lambda x: _is_real(x) and x > 0)
         rules = {"eps_list": positive, "eps_error_list": positive,
-                 "m_list": ("positive integers",
-                            lambda x: _is_int(x) and x >= 1),
+                 "m_list": ("integers of at least 2",
+                            lambda x: _is_int(x) and x >= 2),
                  "sigma_list": ("nonnegative numbers",
                                 lambda x: _is_real(x) and x >= 0)}
         for name, (kind, ok) in rules.items():
@@ -349,7 +349,7 @@ def run_dim_convergence(cfg: ExperimentConfig) -> ResultTable:
         a_m_embedded = embed_cloud(a_m, K)
         rows["m"].append(m)
         rows["dist_semi"].append(hausdorff_semi(a_m_embedded, a_full))
-        rows["tail_profile"].append(tail_profile(a_m, max(1, m // 2)))
+        rows["tail_profile"].append(tail_profile(a_m, m // 2))
         rows["cloud_norm"].append(cloud_norm(a_m))
         steps.append(a_m.meta["steps_evolved"])
     prov = _provenance(cfg)
@@ -368,6 +368,9 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ResultTable:
     m = cfg.noise_m
     gap = cfg.params.lam - dc.lambda_star
     dt = min(dc.eps_star, cfg.noise.h_path)
+    if round(cfg.noise.pullback_T / dt) < 1:
+        raise ConfigError(f"noise.pullback_T={cfg.noise.pullback_T} is "
+                          f"shorter than half the pullback step dt={dt}")
     a_det = flow_attractor(cfg.params, dt, cfg.attractor, m, mode="truncated")
     init = sample_ball(dc.r_star, "truncated", m, cfg.pullback_points,
                        cfg.master_seed)
@@ -441,11 +444,14 @@ def run_error_order(cfg: ExperimentConfig, T: float = 0.5,
         raise ConfigError("grids.eps_error_list must not be empty")
     for eps in eps_list:
         check_step(dc, StepConfig(eps=eps))
+    try:
+        n_implicit = [step_count(T, eps) for eps in eps_list]
+    except ValueError as exc:
+        raise ConfigError(f"grids.eps_error_list: {exc}")
     K = 32
     rng = np.random.default_rng(cfg.master_seed)
     samples = [_random_window(rng, 8, 0.9 * dc.r_star).to_grid(K)
                for _ in range(n_samples)]
-    n_implicit = [step_count(T, eps) for eps in eps_list]
     # the flow does not depend on eps: u(eps, y) takes one short run per
     # eps, and one run per sample at the finest step gives u(T, y) for all
     dt_local = [eps / REFERENCE_STEPS_PER_EPS for eps in eps_list]

@@ -157,22 +157,10 @@ class LatticeWindow:
         _, a, b = self._aligned(other)
         return float(a @ b)
 
-    def norm(self, p: int = 2) -> float:
-        return norm_lp(self, p)
-
-
-def norm_lp(u: LatticeWindow, p: int = 2) -> float:
-    """l^p norm of the underlying sequence, for p in {1, 2, 3, 4}."""
-    if p not in (1, 2, 3, 4):
-        raise ValueError(f"unsupported norm exponent p={p}")
-    if u.values.size == 0:
-        return 0.0
-    a = np.abs(u.values)
-    if p == 1:
-        return float(a.sum())
-    if p == 2:
+    def norm(self) -> float:
+        """l^2 norm of the underlying sequence."""
+        a = self.values
         return float(np.sqrt((a * a).sum()))
-    return float((a**p).sum() ** (1.0 / p))
 
 
 # -- difference operators --------------------------------------------------

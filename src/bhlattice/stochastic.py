@@ -123,17 +123,15 @@ def ergodic_average(path: OUPath) -> float:
 
 @dataclasses.dataclass
 class NoiseConfig:
-    """Noise intensity and pullback-experiment controls."""
+    """Pullback-experiment controls; the noise intensities are the
+    caller's (``grids.sigma_list`` in the noise study)."""
 
-    sigma: float = 0.1
     h_path: float = 0.01
     pullback_T: float = 30.0
     realizations: int = 20
     master_seed: int = 2024
 
     def __post_init__(self):
-        if not _is_real(self.sigma) or self.sigma < 0:
-            raise ValueError("sigma must be a nonnegative number")
         if not all(_is_real(x) and x > 0 for x in (self.h_path, self.pullback_T)):
             raise ValueError("h_path and pullback_T must be positive numbers")
         if not _is_int(self.realizations) or self.realizations < 1:
@@ -229,8 +227,8 @@ def pullback_batch(p: Params, noise: NoiseConfig, sigmas, realizations,
     """Evolve a cloud from time -pullback_T to 0 for every noise intensity
     in ``sigmas`` along every realization index in ``realizations``.
 
-    noise supplies h_path, pullback_T and master_seed; its own sigma and
-    realization count are not read.  Each realization's OU path is generated
+    noise supplies h_path, pullback_T and master_seed; its realization
+    count is not read.  Each realization's OU path is generated
     once from its derived seed, over [-max(pullback_T, path_horizon), 0], so
     the same path serves every sigma (and, with a long enough horizon, the
     absorbing radius).  All len(sigmas)*len(realizations) copies of the
@@ -263,20 +261,24 @@ def pullback_batch(p: Params, noise: NoiseConfig, sigmas, realizations,
                          n_steps)
 
 
-def pullback_sample(p: Params, noise: NoiseConfig, realization_index: int,
-                    dt: float, initial_cloud: PointCloud) -> PointCloud:
-    """Evolve a cloud from time -pullback_T to 0 along one noise realization.
+def pullback_sample(p: Params, noise: NoiseConfig, sigma: float,
+                    realization_index: int, dt: float,
+                    initial_cloud: PointCloud) -> PointCloud:
+    """Evolve a cloud from time -pullback_T to 0 along one noise realization
+    at noise intensity sigma >= 0.
 
     The one-sigma, one-realization case of ``pullback_batch``.  The
     returned time-0 cloud samples the random attractor; an overflow raises
     NonFinite.
     """
-    batch = pullback_batch(p, noise, [noise.sigma], [realization_index], dt,
+    if not _is_real(sigma) or sigma < 0:
+        raise ValueError("sigma must be a nonnegative number")
+    batch = pullback_batch(p, noise, [sigma], [realization_index], dt,
                            initial_cloud)
     pts = _grid.require_finite(batch.points[0, 0])
     meta = dict(initial_cloud.meta)
     meta.update({
-        "sigma": noise.sigma,
+        "sigma": sigma,
         "seed": int(batch.paths[0].seed.entropy),
         "realization": realization_index,
         "pullback_T": noise.pullback_T,

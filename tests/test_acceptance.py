@@ -18,9 +18,7 @@ from bhlattice import (
     StepConfig,
     cloud_norm,
     d_minus,
-    d_minus_matrix,
     d_plus,
-    d_plus_matrix,
     default_config,
     default_params,
     derived_constants,
@@ -28,7 +26,6 @@ from bhlattice import (
     implicit_step_info,
     l_bound,
     laplacian,
-    laplacian_matrix,
     m_bound,
     ou_path,
     pullback_sample,
@@ -47,7 +44,10 @@ from bhlattice import (
 from bhlattice.attractor import PointCloud, hausdorff_semi
 from bhlattice.experiments import implicit_attractor, trend_nonincreasing
 from bhlattice.stochastic import NoiseConfig, ou_decay, ou_innovation_std
+from bhlattice import _grid
 from bhlattice._grid import rk4, field as grid_field
+from bhlattice.truncation import truncated_forcing
+from dense_truncation import dense_truncated_field, laplacian_matrix
 
 
 def report(num: int, ok: bool, detail: str):
@@ -229,12 +229,11 @@ def test_criterion_10_random_field_reduction():
         diff = random_field(p, 0.0, z, u) - vector_field(p, u)
         if diff.values.size:
             worst = max(worst, float(np.max(np.abs(diff.values))))
-    noise = NoiseConfig(sigma=0.0, h_path=0.01, pullback_T=2.0,
-                        realizations=1, master_seed=2024)
+    noise = NoiseConfig(h_path=0.01, pullback_T=2.0, realizations=1,
+                        master_seed=2024)
     init = sample_ball(1.5, "truncated", 8, 8, seed=5)
-    pulled = pullback_sample(p, noise, 0, 0.01, init)
+    pulled = pullback_sample(p, noise, 0.0, 0, 0.01, init)
     # [DERIVED] same clock, same integrator, deterministic field
-    from bhlattice.truncation import truncated_forcing
     f_m = truncated_forcing(p, 8)
     det = rk4(lambda _t, U: grid_field(p, U, f_m, "truncated"),
               init.points, 0.0, 0.01, 200)
@@ -288,14 +287,17 @@ def test_criterion_13_oracle_equivalences():
                     for a in A.points)
         if abs(hausdorff_semi(A, B) - brute) > 1e-12:
             ok = False
-    # Laplacian factorization on both forms
+    # Laplacian factorization on both forms: the window operators, and the
+    # truncated kernels, applied to the identity's rows, against the
+    # independent (2, ..., 2, 1) matrix [DERIVED]
     for _ in range(20):
         u = LatticeWindow(-8, rng.standard_normal(17))
         if (laplacian(u) - d_plus(d_minus(u))).norm() > 1e-13:
             ok = False
     for m in (1, 4, 16):
-        if not np.array_equal(laplacian_matrix(m),
-                              d_plus_matrix(m) @ d_minus_matrix(m)):
+        if not np.array_equal(
+                _grid.d_plus(_grid.d_minus(np.eye(2 * m + 1))).T,
+                laplacian_matrix(m)):
             ok = False
     # truncated interior rows equal infinite stencils
     p = default_params()
@@ -304,6 +306,15 @@ def test_criterion_13_oracle_equivalences():
         fx = truncated_field(p, restriction(u, 10))
         fw = vector_field(p, u)
         for i in range(-9, 10):
-            if abs(fx.values[i + 10] - fw[i]) > 1e-12:
+            if abs(fx[i + 10] - fw[i]) > 1e-12:
                 ok = False
-    report(13, ok, "Hausdorff, factorization, interior stencils")
+    # and every truncated row, both corners included, equals the dense
+    # matrix form [DERIVED]
+    f_m = truncated_forcing(p, 10)
+    for _ in range(20):
+        x = 0.7 * rng.standard_normal(21)
+        gap = truncated_field(p, x) - dense_truncated_field(p, x, f_m)
+        if np.max(np.abs(gap)) > 1e-12:
+            ok = False
+    report(13, ok, "Hausdorff, factorization, interior stencils, "
+                   "truncated corners")

@@ -480,7 +480,7 @@ class TestErrorOrder:
                 assert np.linalg.norm(row - fine_row) <= 1e-3 * min(resolved)
 
     def test_horizon_must_be_a_multiple_of_every_eps(self):
-        with pytest.raises(ValueError, match="integer multiple"):
+        with pytest.raises(ConfigError, match="integer multiple"):
             run_error_order(self.config(), T=0.05, n_samples=1)
 
 
@@ -721,6 +721,8 @@ class TestCli:
         {"params": {"lamda": 9}},
         {"windw_half_width": 32},
         {"params": {"f": {"ofset": 1, "values": [1.0]}}},
+        # the noise intensities are grids.sigma_list; noise has no sigma
+        {"noise": {"sigma": 0.2}},
     ])
     def test_unknown_key_exits_2(self, tmp_path, doc):
         cfg_path = tmp_path / "cfg.json"
@@ -732,13 +734,13 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "params": {"lam": 9, "f": {"offset": 1, "values": [2]}},
-            "grids": {"m_list": [4, 8]}, "noise": {"sigma": 0.2},
+            "grids": {"m_list": [4, 8]}, "noise": {"realizations": 5},
             "window_half_width": 32}))
         cfg = load_config(str(cfg_path))
         assert cfg.params == default_params(lam=9.0).replace(
             f=LatticeWindow.basis(1, 2.0))
         assert cfg.grids == GridConfig(m_list=(4, 8))
-        assert cfg.noise == NoiseConfig(sigma=0.2)
+        assert cfg.noise == NoiseConfig(realizations=5)
         assert cfg.window_half_width == 32
         # an int coefficient hashes as the float it is converted to
         cfg_path.write_text(json.dumps({"params": {"lam": 8}}))
@@ -778,6 +780,12 @@ class TestCli:
         ("converge-eps", {"reference": {"eps_ref": -1.0}}),
         # above the unforced eps* = 0.02128 the error-order study runs
         ("error-order", {"grids": {"eps_error_list": [0.5, 0.25]}}),
+        # a truncated system of 3 sites has no tail index k with 2k <= m
+        ("converge-dim", {"grids": {"m_list": [1, 8]}}),
+        # 0.003 does not divide the error-order horizon T = 0.5
+        ("error-order", {"grids": {"eps_error_list": [0.003]}}),
+        # shorter than half the pullback step min(eps*, h_path) = 0.01
+        ("converge-noise", {"noise": {"pullback_T": 0.001}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, monkeypatch, command, doc):
         def refuse(*args, **kwargs):

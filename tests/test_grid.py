@@ -1,6 +1,7 @@
 """Property tests of the fused field kernel in ``_grid`` against references
-that do not use it: the dense truncation matrices, the ``LatticeWindow``
-operators, and central differences of the field for its Jacobian."""
+that do not use it: the dense truncation matrices of ``dense_truncation``,
+the ``LatticeWindow`` operators, and central differences of the field for
+its Jacobian."""
 
 import numpy as np
 import pytest
@@ -14,14 +15,13 @@ from bhlattice import (
     Params,
     StepConfig,
     d_minus,
-    d_minus_matrix,
     derived_constants,
     laplacian,
-    laplacian_matrix,
 )
 from bhlattice import _grid
 from bhlattice.experiments import default_params
 from bhlattice.stepping import advance_grid, forcing_grid
+from dense_truncation import d_minus_matrix, laplacian_matrix
 
 RTOL = 1e-12
 

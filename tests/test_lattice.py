@@ -19,7 +19,6 @@ from bhlattice import (
     lambda_star_coeffs,
     laplacian,
     m_bound,
-    norm_lp,
     point_contraction,
     tail_mass,
     vector_field,
@@ -103,19 +102,11 @@ class TestOperators:
 
 class TestNorms:
     def test_basis_norm(self):
-        assert norm_lp(LatticeWindow.basis(0), 2) == 1.0
+        assert LatticeWindow.basis(0).norm() == 1.0
 
     def test_pythagorean(self):
         u = LatticeWindow(0, np.array([3.0, 4.0]))
-        assert norm_lp(u, 2) == pytest.approx(5.0)
-
-    def test_cubic_norm(self):
-        u = LatticeWindow(0, np.ones(3))
-        assert norm_lp(u, 3) == pytest.approx(3.0 ** (1.0 / 3.0))
-
-    def test_unsupported_exponent(self):
-        with pytest.raises(ValueError):
-            norm_lp(LatticeWindow.basis(0), 5)
+        assert u.norm() == pytest.approx(5.0)
 
 
 class TestVectorField:

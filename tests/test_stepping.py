@@ -14,17 +14,16 @@ from bhlattice import (
     Params,
     StepConfig,
     StepTooLarge,
-    d_minus_matrix,
     derived_constants,
     global_error,
     implicit_step_info,
     l_bound,
-    laplacian_matrix,
     local_error,
     reference_flow,
     run_trajectory,
 )
 from bhlattice import _grid, stepping
+from dense_truncation import dense_truncated_field
 
 # fixed example sequence and no example database, so runs repeat exactly
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -45,15 +44,6 @@ def dense_field(p, u, f):
     up = np.concatenate([u[1:], [0.0]])
     return (p.nu * (-um + 2 * u - up) - p.alpha * u * (um - u)
             + p.beta * u * (1 - u) * (u - p.gamma) - p.lam * u + f)
-
-
-def dense_truncated_field(p, x, f):
-    """The truncated system's field from the dense truncation matrices
-    (test-local oracle)."""
-    m = (x.size - 1) // 2
-    return (p.nu * laplacian_matrix(m) @ x
-            - p.alpha * x * (d_minus_matrix(m) @ x)
-            + p.beta * x * (1 - x) * (x - p.gamma) - p.lam * x + f)
 
 
 def dense_newton(residual, y, tol=1e-13):

@@ -250,28 +250,31 @@ class TestAbsorbingRadius:
 
 class TestPullback:
     def test_deterministic_in_realization(self, params):
-        noise = NoiseConfig(sigma=0.1, h_path=0.01, pullback_T=2.0,
-                            realizations=2, master_seed=2024)
+        noise = NoiseConfig(h_path=0.01, pullback_T=2.0, realizations=2,
+                            master_seed=2024)
         init = sample_ball(1.5, "truncated", 4, 8, seed=0)
-        a = pullback_sample(params, noise, 0, 0.01, init)
-        b = pullback_sample(params, noise, 0, 0.01, init)
+        a = pullback_sample(params, noise, 0.1, 0, 0.01, init)
+        b = pullback_sample(params, noise, 0.1, 0, 0.01, init)
         assert np.array_equal(a.points, b.points)
-        c = pullback_sample(params, noise, 1, 0.01, init)
+        c = pullback_sample(params, noise, 0.1, 1, 0.01, init)
         assert not np.array_equal(a.points, c.points)
 
     def test_meta_records_provenance(self, params):
-        noise = NoiseConfig(sigma=0.25, h_path=0.01, pullback_T=1.0,
-                            realizations=1, master_seed=7)
+        noise = NoiseConfig(h_path=0.01, pullback_T=1.0, realizations=1,
+                            master_seed=7)
         init = sample_ball(1.0, "truncated", 3, 4, seed=0)
-        out = pullback_sample(params, noise, 0, 0.01, init)
+        out = pullback_sample(params, noise, 0.25, 0, 0.01, init)
         assert out.meta["sigma"] == 0.25
         assert out.meta["realization"] == 0
         assert out.meta["pullback_T"] == 1.0
         assert out.space == "truncated" and out.half_width == 3
 
-    def test_noise_config_validation(self):
-        with pytest.raises(ValueError):
-            NoiseConfig(sigma=-0.1)
+    def test_noise_config_validation(self, params):
+        # the intensity is pullback_sample's argument, refused below 0
+        init = sample_ball(1.0, "truncated", 3, 4, seed=0)
+        with pytest.raises(ValueError, match="sigma"):
+            pullback_sample(params, NoiseConfig(pullback_T=1.0), -0.1, 0,
+                            0.01, init)
         with pytest.raises(ValueError):
             NoiseConfig(h_path=0.0)
         with pytest.raises(ValueError):
@@ -282,9 +285,9 @@ class TestPullbackBatch:
     T = 2.0
     DT = 0.01
 
-    def noise(self, sigma=0.1):
-        return NoiseConfig(sigma=sigma, h_path=0.01, pullback_T=self.T,
-                           realizations=3, master_seed=2024)
+    def noise(self):
+        return NoiseConfig(h_path=0.01, pullback_T=self.T, realizations=3,
+                           master_seed=2024)
 
     def test_every_row_equals_its_single_pullback(self, params):
         init = sample_ball(1.5, "truncated", 4, 6, seed=0)
@@ -298,8 +301,8 @@ class TestPullbackBatch:
             assert path.t_min == -12.0 and path.t_max == 0.0
         for i, sigma in enumerate(sigmas):
             for k in range(3):
-                one = pullback_sample(params, self.noise(sigma), k, self.DT,
-                                      init)
+                one = pullback_sample(params, self.noise(), sigma, k,
+                                      self.DT, init)
                 assert batch.points[i, k].tobytes() == one.points.tobytes()
 
     def test_overflowing_rows_are_flagged_and_leave_the_rest_alone(self, params):
@@ -308,23 +311,23 @@ class TestPullbackBatch:
             batch = pullback_batch(params, self.noise(), (40.0, 0.1), range(3),
                                    self.DT, init)
             with pytest.raises(NonFinite, match="integrator state overflowed"):
-                pullback_sample(params, self.noise(40.0), 0, self.DT, init)
+                pullback_sample(params, self.noise(), 40.0, 0, self.DT, init)
         assert not batch.finite[0].any()
         assert batch.finite[1].all()
         for k in range(3):
-            one = pullback_sample(params, self.noise(0.1), k, self.DT, init)
+            one = pullback_sample(params, self.noise(), 0.1, k, self.DT, init)
             assert batch.points[1, k].tobytes() == one.points.tobytes()
             plain = self.rk4_oracle(params, self.noise(), 0.1, k, self.DT,
                                     init, self.T)
             assert batch.points[1, k].tobytes() == plain.tobytes()
 
     def test_horizon_shorter_than_half_a_step_is_a_value_error(self, params):
-        noise = NoiseConfig(sigma=0.1, h_path=0.001, pullback_T=0.004)
+        noise = NoiseConfig(h_path=0.001, pullback_T=0.004)
         init = sample_ball(1.0, "truncated", 3, 4, seed=0)
         with pytest.raises(ValueError, match="pullback_T=0.004.*dt=0.01"):
             pullback_batch(params, noise, (0.1,), range(2), 0.01, init)
         with pytest.raises(ValueError, match="pullback_T=0.004.*dt=0.01"):
-            pullback_sample(params, noise, 0, 0.01, init)
+            pullback_sample(params, noise, 0.1, 0, 0.01, init)
 
     @staticmethod
     def rk4_oracle(p, noise, sigma, k, dt, init, path_horizon):
