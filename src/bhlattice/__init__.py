@@ -25,8 +25,8 @@ from .stochastic import (AbsorbingRadius, NoiseConfig, OUPath,
                          absorbing_radius, ergodic_average, ou_path,
                          ou_path_from_json, ou_path_to_json, pullback_batch,
                          pullback_sample, random_field)
-from .experiments import (ExperimentConfig, GridConfig, ReferenceConfig,
-                          ResultTable, default_config, default_params,
+from .experiments import (ExperimentConfig, GridConfig, ResultTable,
+                          default_config, default_params,
                           run_bounds, run_dim_convergence,
                           run_eps_convergence, run_error_order,
                           run_noise_convergence, verify, write_table)

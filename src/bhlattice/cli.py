@@ -67,7 +67,7 @@ def _config_from_dict(doc: dict, seed: int | None = None) -> ExperimentConfig:
         base = default_config()
         sub = {name: dataclasses.replace(getattr(base, name),
                                          **doc.pop(name, {}))
-               for name in ("attractor", "noise", "reference")}
+               for name in ("attractor", "noise")}
         grids = dataclasses.replace(base.grids, **{
             k: tuple(v) for k, v in doc.pop("grids", {}).items()})
         return dataclasses.replace(
@@ -101,9 +101,8 @@ STUDIES = {
 }
 
 
-def _emit(table: ResultTable, out_dir: str, fmt: str):
-    paths = write_table(table, out_dir, fmt)
-    for p in paths:
+def _emit(table: ResultTable, out_dir: str):
+    for p in write_table(table, out_dir):
         print(p)
 
 
@@ -123,8 +122,8 @@ def main(argv=None) -> int:
                     "attractor verification harness.")
     parser.add_argument("--config", help="config file (YAML or JSON)")
     parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--out", type=_checked(str, bool), default="out",
+                        help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     positive = _checked(float, lambda x: 0 < x < float("inf"))
     finite = _checked(float, lambda x: abs(x) < float("inf"))
@@ -151,10 +150,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.seed)
-        if args.out:
-            cfg.output_dir = args.out
-        return _dispatch(args, cfg)
+        return _dispatch(args, load_config(args.config, args.seed))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -178,17 +174,17 @@ def _dispatch(args, cfg: ExperimentConfig) -> int:
             {"step": list(range(len(traj.states))),
              "norm": [u.norm() for u in traj.states]},
             _provenance(cfg))
-        _emit(table, cfg.output_dir, args.format)
+        _emit(table, args.out)
         return 0
     if cmd == "attractor":
         cloud = implicit_attractor(cfg.params, args.eps, cfg.attractor,
                                    cfg.window_half_width)
-        _write(cfg.output_dir, f"cloud_eps{args.eps:g}.json",
+        _write(args.out, f"cloud_eps{args.eps:g}.json",
                cloud_to_json(cloud))
         print(f"cloud norm: {cloud_norm(cloud):.6e}")
         return 0
     if cmd in STUDIES:
-        _emit(STUDIES[cmd][0](cfg), cfg.output_dir, args.format)
+        _emit(STUDIES[cmd][0](cfg), args.out)
         return 0
     if cmd == "ou-path":
         if args.horizon / args.h > OU_PATH_MAX_SAMPLES:
@@ -197,13 +193,13 @@ def _dispatch(args, cfg: ExperimentConfig) -> int:
                 f"{args.horizon / args.h:.4g} samples, above the sample "
                 f"budget of {OU_PATH_MAX_SAMPLES}")
         path = ou_path(cfg.master_seed, -args.horizon, 0.0, args.h)
-        _write(cfg.output_dir, "ou_path.json", ou_path_to_json(path))
+        _write(args.out, "ou_path.json", ou_path_to_json(path))
         return 0
     if cmd == "verify":
         ok, report = verify(cfg)
         for check in report["checks"]:
             print(f"{check['status']:4s}  {check['check']}")
-        _write(cfg.output_dir, "verify_report.json",
+        _write(args.out, "verify_report.json",
                json.dumps(report, indent=2))
         return 0 if ok else 1
     raise ConfigError(f"unknown command {cmd!r}")

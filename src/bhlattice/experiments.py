@@ -23,8 +23,8 @@ from .errors import (ConfigError, DissipativityViolation, NoConvergence,
 from .lattice import (LatticeWindow, Params, derived_constants, l_bound,
                       m_bound)
 from .stepping import (StepConfig, advance_grid, check_step, defect,
-                       equilibrium, implicit_step_info, params_hash,
-                       point_contraction, reference_flows, step_count)
+                       equilibrium, implicit_step_info, point_contraction,
+                       reference_flows, step_count)
 from .stochastic import NoiseConfig, absorbing_radius, pullback_batch
 
 # attraction happens on the time scale 1/(lam - lam*); a stabilization
@@ -44,6 +44,10 @@ TREND_REL_SLACK = 0.10
 # config (seeds 2024, 1, 7 and 11) they differ from runs at step eps/400 by
 # at most 2.4e-10 of the local and 7.2e-13 of the global defect they resolve.
 REFERENCE_STEPS_PER_EPS = 25
+
+# RK4 steps per min(eps_list) of the eps-study's flow reference cloud: its
+# step dt_ref is min(eps_list) / FLOW_STEPS_PER_EPS
+FLOW_STEPS_PER_EPS = 5
 
 # the bound sweep: forcing scalings c of f, each at every damping lam
 BOUNDS_FORCING_SCALES = (1.0, 0.5, 0.25, 0.0)
@@ -73,25 +77,14 @@ class GridConfig:
 
 
 @dataclasses.dataclass
-class ReferenceConfig:
-    eps_ref: float = 5e-4
-
-    def __post_init__(self):
-        if not _is_real(self.eps_ref) or self.eps_ref <= 0:
-            raise ValueError("reference.eps_ref must be a positive number")
-
-
-@dataclasses.dataclass
 class ExperimentConfig:
     params: Params
     grids: GridConfig = dataclasses.field(default_factory=GridConfig)
     attractor: AttractorConfig = dataclasses.field(default_factory=AttractorConfig)
     noise: NoiseConfig = dataclasses.field(default_factory=NoiseConfig)
-    reference: ReferenceConfig = dataclasses.field(default_factory=ReferenceConfig)
     window_half_width: int = 128
     noise_m: int = 16
     pullback_points: int = 16
-    output_dir: str = "out"
     master_seed: int = 2024
 
     def __post_init__(self):
@@ -101,8 +94,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a positive integer")
         if not _is_int(self.master_seed) or self.master_seed < 0:
             raise ValueError("master_seed must be a nonnegative integer")
-        if not isinstance(self.output_dir, str):
-            raise ValueError("output_dir must be a string")
         if not self.params.f.fits(self.window_half_width):
             raise ValueError(
                 f"params.f has support {list(self.params.f.support)}, outside "
@@ -120,8 +111,6 @@ class ExperimentConfig:
         sig = list(self.grids.sigma_list)
         if sig != sorted(sig, reverse=True):
             raise ConfigError("sigma_list must descend toward zero")
-        if self.reference.eps_ref >= min(self.grids.eps_list) / 4:
-            raise ConfigError("eps_ref must be below min(eps_list)/4")
         return dc
 
 
@@ -161,15 +150,17 @@ class ResultTable:
             lines.append(",".join(_fmt(self.columns[k][i]) for k in keys))
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        return json.dumps({"name": self.name, "columns": self.columns,
-                           "provenance": self.provenance}, indent=2)
-
 
 def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
+
+
+def params_hash(p: Params) -> str:
+    key = (p.nu, p.alpha, p.beta, p.gamma, p.lam, p.laplacian_sign,
+           p.f.offset, p.f.values.tobytes())
+    return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -189,27 +180,17 @@ def _provenance(cfg: ExperimentConfig) -> dict:
     }
 
 
-def write_table(table: ResultTable, out_dir: str, fmt: str = "csv") -> list:
+def write_table(table: ResultTable, out_dir: str) -> list:
+    """Write NAME.csv and its provenance NAME.meta.json; returns both paths."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
     base = os.path.join(out_dir, table.name)
-    if fmt == "csv":
-        path = base + ".csv"
-        with open(path, "w") as fh:
-            fh.write(table.to_csv())
-        paths.append(path)
-        meta = base + ".meta.json"
-        with open(meta, "w") as fh:
-            fh.write(json.dumps(table.provenance, indent=2))
-        paths.append(meta)
-    elif fmt == "json":
-        path = base + ".json"
-        with open(path, "w") as fh:
-            fh.write(table.to_json())
-        paths.append(path)
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
-    return paths
+    path = base + ".csv"
+    with open(path, "w") as fh:
+        fh.write(table.to_csv())
+    meta = base + ".meta.json"
+    with open(meta, "w") as fh:
+        fh.write(json.dumps(table.provenance, indent=2))
+    return [path, meta]
 
 
 def trend_nonincreasing(values, rel_slack: float, abs_floor: float) -> bool:
@@ -304,11 +285,13 @@ def _evolved_attractor(p: Params, step: float, base: AttractorConfig,
 
 
 def run_eps_convergence(cfg: ExperimentConfig) -> ResultTable:
-    """Distances from the implicit-Euler attractor to a fine reference cloud
-    as the time step descends."""
+    """Distances from the implicit-Euler attractor to the flow's cloud at
+    the RK4 step dt_ref = min(eps_list) / FLOW_STEPS_PER_EPS as the time
+    step descends."""
     cfg.validate()
     K = cfg.window_half_width
-    a_ref = flow_attractor(cfg.params, cfg.reference.eps_ref, cfg.attractor, K)
+    dt_ref = min(cfg.grids.eps_list) / FLOW_STEPS_PER_EPS
+    a_ref = flow_attractor(cfg.params, dt_ref, cfg.attractor, K)
     rows = {"eps": [], "dist_semi": [], "dist_sym": [], "cloud_norm": []}
     steps = []
     for eps in cfg.grids.eps_list:
@@ -319,6 +302,7 @@ def run_eps_convergence(cfg: ExperimentConfig) -> ResultTable:
         rows["cloud_norm"].append(cloud_norm(a_eps))
         steps.append(a_eps.meta["steps_evolved"])
     prov = _provenance(cfg)
+    prov["dt_ref"] = dt_ref
     prov["steps_evolved"] = {"reference": a_ref.meta["steps_evolved"],
                              "rows": steps}
     # the certificate is the window system's, the same at every step
@@ -440,14 +424,15 @@ def run_error_order(cfg: ExperimentConfig, T: float = 0.5,
     p = cfg.params.replace(f=LatticeWindow.zero())
     dc = derived_constants(p)
     eps_list = cfg.grids.eps_error_list
-    if not eps_list:
-        raise ConfigError("grids.eps_error_list must not be empty")
     for eps in eps_list:
         check_step(dc, StepConfig(eps=eps))
     try:
         n_implicit = [step_count(T, eps) for eps in eps_list]
     except ValueError as exc:
         raise ConfigError(f"grids.eps_error_list: {exc}")
+    # an order is the slope of a fit through at least two points
+    if len(eps_list) < 2:
+        raise ConfigError("grids.eps_error_list needs at least two entries")
     K = 32
     rng = np.random.default_rng(cfg.master_seed)
     samples = [_random_window(rng, 8, 0.9 * dc.r_star).to_grid(K)

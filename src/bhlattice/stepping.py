@@ -4,7 +4,6 @@ fourth-order reference integrator used as the continuous-time oracle."""
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import warnings
 
 import numpy as np
@@ -20,6 +19,8 @@ CLIP_MASS_WARN = 1e-14
 # EQUILIBRIUM_MAX_ITER iterations
 EQUILIBRIUM_TOL = 1e-13
 EQUILIBRIUM_MAX_ITER = 50
+# Picard iterations an implicit step may take before NoConvergence
+PICARD_MAX_ITER = 400
 # fixed-point tolerance of the implicit steps whose error ``defect``
 # measures, far below the smallest defect the error-order study resolves
 DEFECT_FP_TOL = 1e-12
@@ -31,7 +32,6 @@ class StepConfig:
 
     eps: float
     fp_tol: float = 1e-10
-    max_iter: int = 400
     enforce_eps_star: bool = True
 
     def __post_init__(self):
@@ -39,8 +39,6 @@ class StepConfig:
             raise ValueError("eps must be positive")
         if self.fp_tol <= 0:
             raise ValueError("fp_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,14 +50,6 @@ class StepInfo:
 @dataclasses.dataclass(frozen=True)
 class Trajectory:
     states: tuple
-    eps: float
-    params_hash: str
-
-
-def params_hash(p: Params) -> str:
-    key = (p.nu, p.alpha, p.beta, p.gamma, p.lam, p.laplacian_sign,
-           p.f.offset, p.f.values.tobytes())
-    return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
 
 def forcing_grid(p: Params, half_width: int, mode: str) -> np.ndarray:
@@ -117,7 +107,7 @@ def implicit_steps(p: Params, cfg: StepConfig, Y: np.ndarray, n_steps: int,
     for _ in range(n_steps):
         Y, resid, iters, F = _grid.picard_solve(
             lambda U: _grid.field(p, U, f_grid, mode), Y, cfg.eps,
-            cfg.fp_tol, cfg.max_iter, F)
+            cfg.fp_tol, PICARD_MAX_ITER, F)
         yield Y, StepInfo(resid, iters)
 
 
@@ -141,7 +131,7 @@ def run_trajectory(p: Params, cfg: StepConfig, u0: LatticeWindow,
     steps = implicit_steps(p, cfg, _to_grid_clamped(u0, half_width), n_steps,
                            "window")
     states = [u0] + [LatticeWindow.from_grid(y, half_width) for y, _ in steps]
-    return Trajectory(tuple(states), cfg.eps, params_hash(p))
+    return Trajectory(tuple(states))
 
 
 def advance_grid(p: Params, cfg: StepConfig, U: np.ndarray, n_steps: int,

@@ -47,6 +47,10 @@ class TestConfig:
         cfg = default_config()
         dc = cfg.validate()
         assert dc.lambda_star == pytest.approx(6.5625)
+        # the eps-study's reference step is derived from eps_list, so no
+        # eps_list is too fine for it
+        cfg.grids = GridConfig(eps_list=(0.001,))
+        cfg.validate()
 
     def test_rejects_eps_above_cap(self):
         cfg = default_config()
@@ -63,12 +67,6 @@ class TestConfig:
     def test_rejects_ascending_sigma_list(self):
         cfg = default_config()
         cfg.grids = GridConfig(sigma_list=(0.0, 0.1))
-        with pytest.raises(ConfigError):
-            cfg.validate()
-
-    def test_rejects_coarse_reference(self):
-        cfg = default_config()
-        cfg.reference.eps_ref = 0.01
         with pytest.raises(ConfigError):
             cfg.validate()
 
@@ -313,21 +311,11 @@ class TestTables:
 
     def test_write_csv_and_meta(self, tmp_path):
         table = ResultTable("demo", {"x": [1.0, 2.0]}, {"config_hash": "ab"})
-        paths = write_table(table, str(tmp_path), "csv")
+        paths = write_table(table, str(tmp_path))
         assert sorted(os.path.basename(p) for p in paths) == \
             ["demo.csv", "demo.meta.json"]
         meta = json.loads((tmp_path / "demo.meta.json").read_text())
         assert meta["config_hash"] == "ab"
-
-    def test_write_json(self, tmp_path):
-        table = ResultTable("demo", {"x": [1.0]}, {"k": 1})
-        (path,) = write_table(table, str(tmp_path), "json")
-        doc = json.loads(open(path).read())
-        assert doc["columns"]["x"] == [1.0]
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ConfigError):
-            write_table(ResultTable("t", {"x": [1]}, {}), str(tmp_path), "xml")
 
 
 class TestNoiseStudy:
@@ -690,6 +678,10 @@ class TestCli:
         assert "dissipativity" in out
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert all(c["status"] == "pass" for c in report["checks"])
+        # the output directory is no part of the configuration or its hash
+        assert main(["--out", str(tmp_path / "b"), "verify"]) == 0
+        again = json.loads((tmp_path / "b" / "verify_report.json").read_text())
+        assert again["config_hash"] == report["config_hash"]
 
     @pytest.mark.parametrize("doc, failing", [
         # eps* = 0.01026 at the default parameters
@@ -723,6 +715,10 @@ class TestCli:
         {"params": {"f": {"ofset": 1, "values": [1.0]}}},
         # the noise intensities are grids.sigma_list; noise has no sigma
         {"noise": {"sigma": 0.2}},
+        # the eps-study's reference step is min(eps_list) / 5, and --out
+        # names the output directory
+        {"reference": {"eps_ref": 0.001}},
+        {"output_dir": "x"},
     ])
     def test_unknown_key_exits_2(self, tmp_path, doc):
         cfg_path = tmp_path / "cfg.json"
@@ -774,10 +770,11 @@ class TestCli:
         ("verify", {"grids": {"eps_list": "0.01"}}),
         ("converge-noise", {"pullback_points": -1}),
         ("verify", {"master_seed": "x"}),
-        ("converge-eps", {"reference": {"eps_ref": "x"}}),
+        # the eps-study derives its reference step from eps_list
+        ("converge-eps", {"grids": {"eps_list": ["x"]}}),
         ("attractor", {"attractor": {"sample_count": 2.5}}),
         ("converge-noise", {"noise": {"realizations": 2.5}}),
-        ("converge-eps", {"reference": {"eps_ref": -1.0}}),
+        ("converge-eps", {"grids": {"eps_list": [-1.0]}}),
         # above the unforced eps* = 0.02128 the error-order study runs
         ("error-order", {"grids": {"eps_error_list": [0.5, 0.25]}}),
         # a truncated system of 3 sites has no tail index k with 2k <= m
@@ -786,6 +783,8 @@ class TestCli:
         ("error-order", {"grids": {"eps_error_list": [0.003]}}),
         # shorter than half the pullback step min(eps*, h_path) = 0.01
         ("converge-noise", {"noise": {"pullback_T": 0.001}}),
+        # one eps cannot give an order
+        ("error-order", {"grids": {"eps_error_list": [0.02]}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, monkeypatch, command, doc):
         def refuse(*args, **kwargs):
@@ -848,6 +847,10 @@ class TestCli:
         ["attractor", "--eps", "0"],
         ["ou-path", "--h", "0"],
         ["ou-path", "--horizon", "-5"],
+        # every table is written as CSV; there is no --format
+        ["--format", "json", "verify"],
+        # --out names the one output directory, and "" names none
+        ["--out", "", "verify"],
     ])
     def test_bad_subcommand_argument_exits_2(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -882,7 +885,6 @@ class TestCli:
                       "m_list": [2, 4], "sigma_list": [0.1, 0.0]},
             "attractor": {"sample_count": 2},
             "noise": {"realizations": 2, "pullback_T": 1.0},
-            "reference": {"eps_ref": 0.002},
             "window_half_width": 8, "noise_m": 4, "pullback_points": 2}
     TABLES = {"converge-eps": "eps_convergence",
               "converge-dim": "dim_convergence",
@@ -918,8 +920,7 @@ class TestCli:
         # three times the forcing, so the clouds are evolved; eps* = 0.0036
         # there
         doc = dict(self.TINY, params={"f": {"offset": 0, "values": [4.3125]}},
-                   grids=dict(self.TINY["grids"], eps_list=[0.003]),
-                   reference={"eps_ref": 0.0005})
+                   grids=dict(self.TINY["grids"], eps_list=[0.003]))
         meta, steps = self.run_every_subcommand(tmp_path, capsys, doc,
                                                 "0.003")
         # every cloud says how it stopped, every table how long each of its
@@ -930,6 +931,7 @@ class TestCli:
         prov = json.loads(
             (tmp_path / "out" / "eps_convergence.meta.json").read_text())
         assert prov["certified"] is False and prov["kappa"] > 0
+        assert prov["dt_ref"] == 0.003 / 5
         assert "distances" not in prov
         assert set(steps("eps_convergence")) == {"reference", "rows"}
         assert len(steps("eps_convergence")["rows"]) == 1
@@ -951,6 +953,7 @@ class TestCli:
         prov = json.loads(
             (tmp_path / "out" / "eps_convergence.meta.json").read_text())
         assert prov["certified"] is True and prov["kappa"] == meta["kappa"]
+        assert prov["dt_ref"] == 0.01 / 5
         assert prov["distances"].startswith("0 by construction")
         table = (tmp_path / "out" / "eps_convergence.csv").read_text()
         assert [row.split(",")[1:3] for row in table.splitlines()[1:]] == \
@@ -973,7 +976,6 @@ class TestStepCap:
         eps = dc.eps_star * factor
         assert (eps <= dc.eps_star) == allowed
         cfg.grids = GridConfig(eps_list=(eps,))
-        cfg.reference.eps_ref = eps / 5
         step_cfg = StepConfig(eps=eps)
         u0 = LatticeWindow.basis(0, 0.5)
         if allowed:
@@ -1014,8 +1016,7 @@ class TestStepCap:
         # study
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
-            "grids": {"eps_list": [0.02], "eps_error_list": [0.05]},
-            "reference": {"eps_ref": 0.001}}))
+            "grids": {"eps_list": [0.02], "eps_error_list": [0.05]}}))
         extra = ["--eps", "0.02"] if command == "attractor" else []
         assert main(["--config", str(cfg_path), "--out", str(tmp_path),
                      command, *extra]) == 2

@@ -20,7 +20,7 @@ from bhlattice import (
 )
 from bhlattice import _grid
 from bhlattice.experiments import default_params
-from bhlattice.stepping import advance_grid, forcing_grid
+from bhlattice.stepping import PICARD_MAX_ITER, advance_grid, forcing_grid
 from dense_truncation import d_minus_matrix, laplacian_matrix
 
 RTOL = 1e-12
@@ -174,7 +174,7 @@ def test_advance_grid_equals_separate_solves(state, n_steps, mode):
     V = U
     for _ in range(n_steps):
         V = _grid.picard_solve(lambda Y: _grid.field(p, Y, f, mode), V,
-                               cfg.eps, cfg.fp_tol, cfg.max_iter)[0]
+                               cfg.eps, cfg.fp_tol, PICARD_MAX_ITER)[0]
     assert out.tobytes() == V.tobytes()
 
 

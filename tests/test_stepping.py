@@ -94,8 +94,9 @@ class TestImplicitStep:
         with pytest.raises(StepTooLarge):
             implicit_step_info(params, cfg, LatticeWindow.basis(0, 0.1), 16)
 
-    def test_no_convergence_reports_iterations(self, params):
-        cfg = StepConfig(eps=0.02, max_iter=1, enforce_eps_star=False)
+    def test_no_convergence_reports_iterations(self, params, monkeypatch):
+        monkeypatch.setattr(stepping, "PICARD_MAX_ITER", 1)
+        cfg = StepConfig(eps=0.02, enforce_eps_star=False)
         with pytest.raises(NoConvergence) as exc:
             implicit_step_info(params, cfg, LatticeWindow.basis(0, 0.9), 16)
         assert exc.value.iterations == 1
