@@ -138,7 +138,8 @@ def field_jacobian(p, U: np.ndarray, mode: str) -> np.ndarray:
     """Tridiagonal Jacobian of the vector field at a single state U (1-D),
     as the (3, n) bands of ``scipy.linalg.solve_banded``: row 0 the
     superdiagonal (from column 1), row 1 the diagonal, row 2 the
-    subdiagonal (to column n-2)."""
+    subdiagonal (to column n-2).  LAPACK's ``dgtsv`` takes them as
+    dl = bands[2, :-1], d = bands[1] and du = bands[0, 1:]."""
     nu = -p.nu if p.laplacian_sign == "continuum" else p.nu
     reac = -3.0 * U**2 + 2.0 * (1.0 + p.gamma) * U - p.gamma
     bands = np.zeros((3, U.size))

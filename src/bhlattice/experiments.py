@@ -40,14 +40,13 @@ MAX_ROUND_STEPS = 10**6
 # tied to the cloud stabilization tolerance
 TREND_REL_SLACK = 0.10
 
-# RK4 steps per eps of the error-order reference flows.  At the default
-# config (seeds 2024, 1, 7 and 11) they differ from runs at step eps/400 by
-# at most 2.4e-10 of the local and 7.2e-13 of the global defect they resolve.
-REFERENCE_STEPS_PER_EPS = 25
-
-# RK4 steps per min(eps_list) of the eps-study's flow reference cloud: its
-# step dt_ref is min(eps_list) / FLOW_STEPS_PER_EPS
-FLOW_STEPS_PER_EPS = 5
+# RK4 steps per eps of every flow reference: the eps-study's cloud and the
+# error-order flow to T step min(eps) / REFERENCE_STEPS_PER_EPS, and each
+# error-order flow to eps takes REFERENCE_STEPS_PER_EPS steps of its eps
+# divided by it.  At the default config (seeds 2024, 1, 7 and 11) the
+# error-order references differ from runs at step eps/400 by at most 1.6e-7
+# of the local and 1.6e-10 of the global defect they resolve.
+REFERENCE_STEPS_PER_EPS = 5
 
 # the bound sweep: forcing scalings c of f, each at every damping lam
 BOUNDS_FORCING_SCALES = (1.0, 0.5, 0.25, 0.0)
@@ -286,11 +285,11 @@ def _evolved_attractor(p: Params, step: float, base: AttractorConfig,
 
 def run_eps_convergence(cfg: ExperimentConfig) -> ResultTable:
     """Distances from the implicit-Euler attractor to the flow's cloud at
-    the RK4 step dt_ref = min(eps_list) / FLOW_STEPS_PER_EPS as the time
-    step descends."""
+    the RK4 step dt_ref = min(eps_list) / REFERENCE_STEPS_PER_EPS as the
+    time step descends."""
     cfg.validate()
     K = cfg.window_half_width
-    dt_ref = min(cfg.grids.eps_list) / FLOW_STEPS_PER_EPS
+    dt_ref = min(cfg.grids.eps_list) / REFERENCE_STEPS_PER_EPS
     a_ref = flow_attractor(cfg.params, dt_ref, cfg.attractor, K)
     rows = {"eps": [], "dist_semi": [], "dist_sym": [], "cloud_norm": []}
     steps = []
@@ -440,7 +439,7 @@ def run_error_order(cfg: ExperimentConfig, T: float = 0.5,
     # the flow does not depend on eps: u(eps, y) takes one short run per
     # eps, and one run per sample at the finest step gives u(T, y) for all
     dt_local = [eps / REFERENCE_STEPS_PER_EPS for eps in eps_list]
-    dt_glob = min(dt_local)
+    dt_glob = min(eps_list) / REFERENCE_STEPS_PER_EPS
     n_glob = REFERENCE_STEPS_PER_EPS * max(n_implicit)
     at_T = reference_flows(p, samples, dt_glob, n_glob)
     Lr = l_bound(p, dc.r_star)

@@ -19,7 +19,7 @@ from .errors import DissipativityViolation
 
 def _canonical(offset: int, values: np.ndarray) -> tuple[int, np.ndarray]:
     """Trim leading/trailing zeros so equal sequences compare equal."""
-    nz = np.flatnonzero(values)
+    nz = values.nonzero()[0]
     if nz.size == 0:
         return 0, np.zeros(0)
     lo, hi = nz[0], nz[-1]
@@ -43,7 +43,7 @@ class LatticeWindow:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1:
             raise ValueError("window values must be one-dimensional")
-        if arr.size and not np.all(np.isfinite(arr)):
+        if arr.size and not np.isfinite(arr).all():
             raise ValueError("window values must be finite")
         off, arr = _canonical(int(self.offset), arr)
         object.__setattr__(self, "offset", off)

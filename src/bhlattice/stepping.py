@@ -216,9 +216,10 @@ def equilibrium(p: Params, half_width: int, mode: str = "window"):
 
     Returns (u*, max|F(u*)|, iterations).  Stops once max|F| <=
     EQUILIBRIUM_TOL; raises NoConvergence after EQUILIBRIUM_MAX_ITER
-    iterations and NonFinite if an iterate overflows."""
+    iterations, NonFinite if an iterate overflows and
+    np.linalg.LinAlgError if a Jacobian is singular."""
     # imported on first use: loading scipy.linalg costs about 0.3 s
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgtsv
 
     f_grid = forcing_grid(p, half_width, mode)
     u = np.zeros(2 * half_width + 1)
@@ -232,7 +233,14 @@ def equilibrium(p: Params, half_width: int, mode: str = "window"):
             return u, resid, it
         if it == EQUILIBRIUM_MAX_ITER:
             raise NoConvergence(it, resid)
-        u = u - solve_banded((1, 1), _grid.field_jacobian(p, u, mode), F)
+        # LAPACK's tridiagonal solve, the routine that
+        # scipy.linalg.solve_banded((1, 1), ...) calls, without the
+        # wrapper's checks, which cost several times the solve itself
+        bands = _grid.field_jacobian(p, u, mode)
+        _, _, _, step, info = dgtsv(bands[2, :-1], bands[1], bands[0, 1:], F)
+        if info:
+            raise np.linalg.LinAlgError(f"dgtsv failed with info={info}")
+        u = u - step
         it += 1
 
 

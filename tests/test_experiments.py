@@ -394,7 +394,7 @@ class TestErrorOrder:
     def one_pair_table(self, cfg, n_samples):
         """The study's columns, one local_error and one global_error call
         per (eps, sample) pair, on the samples run_error_order draws: local
-        reference steps eps/25, global reference step min(eps)/25."""
+        reference steps eps/5, global reference step min(eps)/5."""
         p = cfg.params.replace(f=LatticeWindow.zero())
         dc = derived_constants(p)
         rng = np.random.default_rng(cfg.master_seed)
@@ -407,10 +407,10 @@ class TestErrorOrder:
         Lr1 = l_bound(p, dc.r_star + 1.0)
         cols = {"eps": list(self.EPS), "local_max": [], "global_max": [],
                 "local_bound": [], "global_bound": []}
-        dt_glob = min(self.EPS) / 25
+        dt_glob = min(self.EPS) / 5
         for eps in self.EPS:
             cols["local_max"].append(
-                max(local_error(p, eps, y, eps / 25, 32) for y in samples))
+                max(local_error(p, eps, y, eps / 5, 32) for y in samples))
             cols["global_max"].append(
                 max(global_error(p, eps, y, self.T, dt_glob, 32) for y in samples))
             cols["local_bound"].append(Lr * Mr * Lr1 * eps**2)
@@ -431,10 +431,10 @@ class TestErrorOrder:
             assert [x.hex() for x in table.column(name)] == \
                 [float(x).hex() for x in col], name
         prov = table.provenance
-        assert prov["dt_ref_local"] == [eps / 25 for eps in self.EPS]
-        assert prov["dt_ref_global"] == min(self.EPS) / 25
-        # one run to T at the smallest step, plus 25 steps per eps
-        assert prov["reference_rk4_steps"] == 500 + 25 * len(self.EPS)
+        assert prov["dt_ref_local"] == [eps / 5 for eps in self.EPS]
+        assert prov["dt_ref_global"] == min(self.EPS) / 5
+        # one run to T at the smallest step, plus 5 steps per eps
+        assert prov["reference_rk4_steps"] == 100 + 5 * len(self.EPS)
         assert prov["reference_rows"] == n_samples
         json.dumps(prov)
 
@@ -466,6 +466,19 @@ class TestErrorOrder:
                 resolved = [d for U, d in defects if U == row.tobytes()]
                 assert resolved
                 assert np.linalg.norm(row - fine_row) <= 1e-3 * min(resolved)
+
+    def test_finer_references_move_the_default_table_little(self, monkeypatch):
+        """Five RK4 steps per eps give the default table of 25 steps per eps
+        to 1e-6 relative on local_max and 1e-9 on global_max."""
+        cfg = default_config()
+        table = run_error_order(cfg)
+        assert table.provenance["reference_rk4_steps"] == 1020
+        monkeypatch.setattr(experiments, "REFERENCE_STEPS_PER_EPS", 25)
+        fine = run_error_order(cfg)
+        assert fine.provenance["reference_rk4_steps"] == 5100
+        for name, tol in (("local_max", 1e-6), ("global_max", 1e-9)):
+            for x, y in zip(table.column(name), fine.column(name)):
+                assert abs(x - y) <= tol * y, name
 
     def test_horizon_must_be_a_multiple_of_every_eps(self):
         with pytest.raises(ConfigError, match="integer multiple"):

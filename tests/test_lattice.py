@@ -266,6 +266,29 @@ def test_equal_windows_hash_equal(offset, values, flips):
     assert len({a, b}) == 1
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(offset=st.integers(-5, 5),
+       values=st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, np.nan, np.inf,
+                                        -np.inf]) | st.floats(-3.0, 3.0),
+                       max_size=8))
+def test_window_trims_and_checks_as_flatnonzero(offset, values):
+    """The canonical form is the flatnonzero trim of the finite values, and
+    a NaN or infinite value is refused."""
+    vals = np.array(values, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        with pytest.raises(ValueError, match="finite"):
+            LatticeWindow(offset, vals)
+        return
+    u = LatticeWindow(offset, vals)
+    nz = np.flatnonzero(vals)
+    if nz.size == 0:
+        assert u.offset == 0 and u.values.size == 0
+    else:
+        assert u.offset == offset + nz[0]
+        assert u.values.tobytes() == vals[nz[0]:nz[-1] + 1].tobytes()
+    assert not u.values.flags.writeable
+
+
 def test_signed_zero_windows_share_a_hash():
     a = LatticeWindow(0, [1.0, 0.0, 2.0])
     b = LatticeWindow(0, [1.0, -0.0, 2.0])

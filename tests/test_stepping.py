@@ -240,6 +240,33 @@ class TestEquilibrium:
         assert np.max(np.abs(u - oracle)) <= 1e-10
         assert np.linalg.norm(u) > 0.1
 
+    @pytest.mark.parametrize("sign", ["paper", "continuum"])
+    @pytest.mark.parametrize("mode, half_width", [("window", 64),
+                                                  ("truncated", 8)])
+    def test_steps_equal_a_solve_banded_loop(self, mode, half_width, sign):
+        """The LAPACK tridiagonal solve gives the steps of
+        scipy.linalg.solve_banded, bit for bit."""
+        from scipy.linalg import solve_banded
+
+        p = FORCED.replace(laplacian_sign=sign)
+        f = stepping.forcing_grid(p, half_width, mode)
+        want = np.zeros(2 * half_width + 1)
+        for it in range(stepping.EQUILIBRIUM_MAX_ITER + 1):
+            F = _grid.field(p, want, f, mode)
+            if np.max(np.abs(F)) <= stepping.EQUILIBRIUM_TOL:
+                break
+            want = want - solve_banded(
+                (1, 1), _grid.field_jacobian(p, want, mode), F)
+        u, _, iterations = stepping.equilibrium(p, half_width, mode)
+        assert iterations == it
+        assert u.tobytes() == want.tobytes()
+
+    def test_singular_jacobian_raises(self, monkeypatch):
+        monkeypatch.setattr(_grid, "field_jacobian",
+                            lambda p, U, mode: np.zeros((3, U.size)))
+        with pytest.raises(np.linalg.LinAlgError, match="dgtsv"):
+            stepping.equilibrium(FORCED, 16)
+
     def test_iteration_cap_raises_no_convergence(self, monkeypatch):
         monkeypatch.setattr(stepping, "EQUILIBRIUM_MAX_ITER", 1)
         with pytest.raises(NoConvergence) as exc:
