@@ -37,10 +37,10 @@ def d_minus(U: np.ndarray) -> np.ndarray:
 
 def field_coefficients(p, e, sz, f_grid: np.ndarray) -> tuple:
     """Coefficients of the field at noise factor e = exp(sigma*z) and shift
-    sz = sigma*z, as (nu, ae, c0, c1, c2, f/e) for ``apply_field``: the
-    diagonal terms are the cubic U*(c0 + U*(c1 + c2*U)) + f/e, the left
-    coupling (nu + ae*U_i)*U_{i-1}.  At e = 1, sz = 0 they give the
-    deterministic field, bit for bit.
+    sz = sigma*z, as (nu, ae, c0, c1, c2, f/e) for ``field``: the diagonal
+    terms are the cubic U*(c0 + U*(c1 + c2*U)) + f/e, the left coupling
+    (nu + ae*U_i)*U_{i-1}.  At e = 1, sz = 0 they give the deterministic
+    field, bit for bit.
 
     e and sz are scalars, or arrays that broadcast against U with a length-1
     state axis, one noise value per state row; a leading axis more gives
@@ -53,10 +53,17 @@ def field_coefficients(p, e, sz, f_grid: np.ndarray) -> tuple:
     return nu, ae, c0, c1, c2, f_grid / e
 
 
-def apply_field(coef: tuple, U: np.ndarray, mode: str) -> np.ndarray:
-    """The field with coefficients ``coef`` from ``field_coefficients`` at
-    U: the diagonal terms as one Horner cubic, then the neighbour
-    couplings."""
+def field(coef: tuple, U: np.ndarray, mode: str) -> np.ndarray:
+    """The Burgers-Huxley field of the closure ``mode`` at U, one grid or a
+    stack of grids, with the coefficients ``coef`` of ``field_coefficients``:
+    the diagonal terms as one Horner cubic, then the neighbour couplings.
+
+    Every field evaluation of the package goes through this one kernel;
+    an integration builds its coefficients once, e.g.
+    ``field_coefficients(p, 1.0, 0.0, f_grid)`` for the deterministic
+    field.  Each row's result depends on that row and its coefficients
+    alone, bit for bit, whatever the batch shape or memory order of U.
+    The result is a new array."""
     if mode not in ("window", "truncated"):
         raise ValueError(f"unknown mode {mode!r}")
     nu, ae, c0, c1, c2, fe = coef
@@ -71,7 +78,7 @@ def apply_field(coef: tuple, U: np.ndarray, mode: str) -> np.ndarray:
     # neighbour couplings on the flat rows (contiguous, unlike 2-D slices),
     # with the products across a row boundary zeroed
     n = U.shape[-1]
-    u, o = U.reshape(-1), out.reshape(-1)
+    u, o = (U, out) if U.ndim == 1 else (U.reshape(-1), out.reshape(-1))
     # left = (nu + ae*U_i)*U_{i-1}, in place; a per-row ae multiplies U
     # before it is flattened
     if isinstance(ae, np.ndarray):
@@ -92,18 +99,13 @@ def apply_field(coef: tuple, U: np.ndarray, mode: str) -> np.ndarray:
     return out
 
 
-def field(p, U: np.ndarray, f_grid: np.ndarray, mode: str) -> np.ndarray:
-    """Burgers-Huxley vector field on the grid."""
-    return apply_field(field_coefficients(p, 1.0, 0.0, f_grid), U, mode)
-
-
 def random_field(p, sigma: float, z: float, U: np.ndarray,
                  f_grid: np.ndarray, mode: str) -> np.ndarray:
     """Transformed random vector field with noise intensity sigma at noise
     value z, exactly as displayed for the conjugated system."""
     sz = sigma * z
-    return apply_field(field_coefficients(p, float(np.exp(sz)), sz, f_grid),
-                       U, mode)
+    return field(field_coefficients(p, float(np.exp(sz)), sz, f_grid),
+                 U, mode)
 
 
 def row_norms(U: np.ndarray) -> np.ndarray:
@@ -118,14 +120,24 @@ def picard_solve(field_fn, u_prev: np.ndarray, eps: float, tol: float,
     Returns (y, residual, iterations, F(y)); the residual is the exact
     defect ||y - u_prev - eps*F(y)|| (max over batch rows), certified by one
     field evaluation per iteration.  ``F_prev``, if given, must equal
-    field_fn(u_prev) and replaces the first evaluation.
+    field_fn(u_prev) and replaces the first evaluation.  A non-finite
+    defect raises NonFinite.
+
+    The defect is squared and summed per row in place, and the square root
+    taken of the largest sum only: sqrt is correctly rounded and monotone,
+    so this is the largest row norm, bit for bit.
     """
     y = u_prev
     Fy = field_fn(y) if F_prev is None else F_prev
     for it in range(1, max_iter + 1):
-        y_new = u_prev + eps * Fy
+        y_new = eps * Fy
+        y_new += u_prev
         Fy_new = field_fn(y_new)
-        resid = float(row_norms(y_new - u_prev - eps * Fy_new).max())
+        d = y_new - u_prev
+        d -= eps * Fy_new
+        d *= d
+        sq = np.add.reduce(d, axis=-1)
+        resid = math.sqrt(sq if d.ndim == 1 else sq.max())
         y, Fy = y_new, Fy_new
         if not math.isfinite(resid):
             raise NonFinite("fixed-point iterate overflowed")
@@ -168,17 +180,38 @@ def rk4(field_fn, U: np.ndarray, t0: float, dt: float, n_steps: int) -> np.ndarr
     """Classical fourth-order one-step method for dU/dt = field_fn(t, U)
     with the scalar step dt, at the times of ``stage_times``.
 
+    field_fn must return a new array of U's shape on every call, which
+    this loop then updates in place: the stage states share one scratch
+    array, and the weighted sum ((k1 + 2 k2) + 2 k3) + k4 of the classical
+    formula accumulates into k2, in the order of the formula.  U itself is
+    not written to.
+
     Overflow is not checked here: a batch may hold rows that blow up next
     to rows that do not, so each caller tests the end state it needs
     (``require_finite`` for a single run)."""
-    times = stage_times(t0, dt, n_steps)
+    times = stage_times(t0, dt, n_steps).tolist()
+    half, sixth = 0.5 * dt, dt / 6.0
+    stage = np.empty(np.shape(U))
     for j in range(0, 2 * n_steps, 2):
-        t, t_mid, t_end = times[j:j + 3].tolist()
+        t, t_mid, t_end = times[j], times[j + 1], times[j + 2]
         k1 = field_fn(t, U)
-        k2 = field_fn(t_mid, U + 0.5 * dt * k1)
-        k3 = field_fn(t_mid, U + 0.5 * dt * k2)
-        k4 = field_fn(t_end, U + dt * k3)
-        U = U + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.multiply(k1, half, out=stage)
+        stage += U
+        k2 = field_fn(t_mid, stage)
+        np.multiply(k2, half, out=stage)
+        stage += U
+        k3 = field_fn(t_mid, stage)
+        np.multiply(k3, dt, out=stage)
+        stage += U
+        k4 = field_fn(t_end, stage)
+        k2 *= 2.0
+        k2 += k1
+        np.multiply(k3, 2.0, out=stage)
+        k2 += stage
+        k2 += k4
+        k2 *= sixth
+        k2 += U
+        U = k2
     return U
 
 

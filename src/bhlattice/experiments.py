@@ -48,6 +48,11 @@ TREND_REL_SLACK = 0.10
 # of the local and 1.6e-10 of the global defect they resolve.
 REFERENCE_STEPS_PER_EPS = 5
 
+# largest relative bias of the absorbing radius's trapezoid rule on the
+# noise path grid: on int e^{(lam - lam*)s} ds it is (gap*h)^2/12 to
+# leading order, 1.7e-5 at the default config
+RADIUS_QUAD_REL_TOL = 1e-3
+
 # the bound sweep: forcing scalings c of f, each at every damping lam
 BOUNDS_FORCING_SCALES = (1.0, 0.5, 0.25, 0.0)
 BOUNDS_DAMPINGS = (8.0, 10.0, 12.0)
@@ -354,6 +359,13 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ResultTable:
     if round(cfg.noise.pullback_T / dt) < 1:
         raise ConfigError(f"noise.pullback_T={cfg.noise.pullback_T} is "
                           f"shorter than half the pullback step dt={dt}")
+    quad_err = (gap * cfg.noise.h_path) ** 2 / 12.0
+    if quad_err > RADIUS_QUAD_REL_TOL:
+        raise ConfigError(
+            f"noise.h_path={cfg.noise.h_path} is too coarse for the absorbing "
+            f"radius's trapezoid rule: its bias estimate (lam - lam*)^2 "
+            f"h_path^2 / 12 = {quad_err:.3g} exceeds {RADIUS_QUAD_REL_TOL} "
+            f"(h_path at most {math.sqrt(12.0 * RADIUS_QUAD_REL_TOL) / gap:.4g})")
     a_det = flow_attractor(cfg.params, dt, cfg.attractor, m, mode="truncated")
     init = sample_ball(dc.r_star, "truncated", m, cfg.pullback_points,
                        cfg.master_seed)
@@ -395,6 +407,7 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ResultTable:
     # itself unless dt divides pullback_T
     prov.update({"m": m, "dt": batch.dt, "pullback_steps": batch.n_steps,
                  "pullback_T": cfg.noise.pullback_T,
+                 "radius_quad_rel_err": quad_err,
                  "steps_evolved": {"deterministic":
                                    a_det.meta["steps_evolved"]},
                  "excluded_realizations": excluded_realizations,

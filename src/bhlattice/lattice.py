@@ -62,11 +62,42 @@ class LatticeWindow:
 
     @staticmethod
     def from_grid(grid: np.ndarray, half_width: int) -> "LatticeWindow":
-        """Window from a dense array over indices [-half_width, half_width]."""
-        grid = np.asarray(grid, dtype=float)
-        if grid.shape != (2 * half_width + 1,):
+        """Window from a dense array over indices [-half_width, half_width]:
+        the one-row case of ``from_grids``."""
+        return LatticeWindow.from_grids(
+            np.asarray(grid, dtype=float)[None], half_width)[0]
+
+    @staticmethod
+    def from_grids(grids: np.ndarray, half_width: int) -> list:
+        """The windows of the rows of an (N, 2*half_width+1) array, each the
+        one ``LatticeWindow(-half_width, row)`` gives, bit for bit.
+
+        The whole block is checked and trimmed at once: one finiteness test,
+        and the first and last entry != 0 of each row (so -0.0 counts as
+        zero); each row then only copies its trimmed slice."""
+        grids = np.asarray(grids, dtype=float)
+        n = 2 * half_width + 1
+        if grids.ndim != 2 or grids.shape[1] != n:
             raise ValueError("grid length must be 2*half_width + 1")
-        return LatticeWindow(-half_width, grid)
+        if not np.isfinite(grids).all():
+            raise ValueError("window values must be finite")
+        nonzero = grids != 0
+        lo = nonzero.argmax(axis=1)
+        hi = n - nonzero[:, ::-1].argmax(axis=1)
+        # an all-zero row has argmax 0 at an entry that is zero
+        lo[~nonzero[np.arange(len(grids)), lo]] = n
+        windows = []
+        for row, a, b in zip(grids, lo.tolist(), hi.tolist()):
+            if a == n:
+                a, values = half_width, np.zeros(0)
+            else:
+                values = row[a:b].copy()
+            values.setflags(write=False)
+            w = object.__new__(LatticeWindow)
+            object.__setattr__(w, "offset", a - half_width)
+            object.__setattr__(w, "values", values)
+            windows.append(w)
+        return windows
 
     # -- inspection --------------------------------------------------------
 
@@ -308,7 +339,8 @@ def vector_field(p: Params, u: LatticeWindow) -> LatticeWindow:
     Products are componentwise.  Support grows by at most one index beyond
     the union of the supports of u and f.
     """
-    return window_field(p, u, lambda U, f: _grid.field(p, U, f, "window"))
+    return window_field(p, u, lambda U, f: _grid.field(
+        _grid.field_coefficients(p, 1.0, 0.0, f), U, "window"))
 
 
 # -- cut-off function and tail mass ----------------------------------------

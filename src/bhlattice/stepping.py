@@ -21,6 +21,9 @@ EQUILIBRIUM_TOL = 1e-13
 EQUILIBRIUM_MAX_ITER = 50
 # Picard iterations an implicit step may take before NoConvergence
 PICARD_MAX_ITER = 400
+# solutions ``run_trajectory`` turns into windows at once; the block is
+# reused, so it is all the trajectory holds as grids
+TRAJ_BLOCK = 256
 # fixed-point tolerance of the implicit steps whose error ``defect``
 # measures, far below the smallest defect the error-order study resolves
 DEFECT_FP_TOL = 1e-12
@@ -102,11 +105,12 @@ def implicit_steps(p: Params, cfg: StepConfig, Y: np.ndarray, n_steps: int,
         warnings.warn(
             "initial state lies outside the absorbing ball; the "
             "contraction guarantees do not apply", RuntimeWarning)
-    f_grid = forcing_grid(p, (Y.shape[-1] - 1) // 2, mode)
+    coef = _grid.field_coefficients(
+        p, 1.0, 0.0, forcing_grid(p, (Y.shape[-1] - 1) // 2, mode))
     F = None
     for _ in range(n_steps):
         Y, resid, iters, F = _grid.picard_solve(
-            lambda U: _grid.field(p, U, f_grid, mode), Y, cfg.eps,
+            lambda U: _grid.field(coef, U, mode), Y, cfg.eps,
             cfg.fp_tol, PICARD_MAX_ITER, F)
         yield Y, StepInfo(resid, iters)
 
@@ -125,12 +129,22 @@ def implicit_step_info(p: Params, cfg: StepConfig, u_prev: LatticeWindow,
 
 def run_trajectory(p: Params, cfg: StepConfig, u0: LatticeWindow,
                    n_steps: int, half_width: int = DEFAULT_HALF_WIDTH) -> Trajectory:
-    """Iterate the implicit step; returns the full state sequence u_0..u_N."""
-    # the state stays a grid between steps; only the returned states
-    # become windows
+    """Iterate the implicit step; returns the full state sequence u_0..u_N.
+
+    The state stays a grid between steps.  The solutions are copied into
+    one reused block of TRAJ_BLOCK grids, and each filled block becomes
+    windows at once, by ``LatticeWindow.from_grids``."""
     steps = implicit_steps(p, cfg, _to_grid_clamped(u0, half_width), n_steps,
                            "window")
-    states = [u0] + [LatticeWindow.from_grid(y, half_width) for y, _ in steps]
+    block = np.empty((TRAJ_BLOCK, 2 * half_width + 1))
+    states, rows = [u0], 0
+    for y, _ in steps:
+        block[rows] = y
+        rows += 1
+        if rows == TRAJ_BLOCK:
+            states += LatticeWindow.from_grids(block, half_width)
+            rows = 0
+    states += LatticeWindow.from_grids(block[:rows], half_width)
     return Trajectory(tuple(states))
 
 
@@ -167,9 +181,10 @@ def reference_flows(p: Params, Y: np.ndarray, dt: float, n_steps: int,
         raise ValueError("the step must be positive")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    f_grid = forcing_grid(p, (Y.shape[1] - 1) // 2, mode)
+    coef = _grid.field_coefficients(
+        p, 1.0, 0.0, forcing_grid(p, (Y.shape[1] - 1) // 2, mode))
     return _grid.require_finite(_grid.rk4(
-        lambda _t, V: _grid.field(p, V, f_grid, mode), Y, 0.0, dt, n_steps))
+        lambda _t, V: _grid.field(coef, V, mode), Y, 0.0, dt, n_steps))
 
 
 def reference_flow(p: Params, u0: LatticeWindow, t: float, dt_ref: float,
@@ -221,11 +236,12 @@ def equilibrium(p: Params, half_width: int, mode: str = "window"):
     # imported on first use: loading scipy.linalg costs about 0.3 s
     from scipy.linalg.lapack import dgtsv
 
-    f_grid = forcing_grid(p, half_width, mode)
+    coef = _grid.field_coefficients(p, 1.0, 0.0,
+                                    forcing_grid(p, half_width, mode))
     u = np.zeros(2 * half_width + 1)
     it = 0
     while True:
-        F = _grid.field(p, u, f_grid, mode)
+        F = _grid.field(coef, u, mode)
         resid = float(np.max(np.abs(F)))
         if not np.isfinite(resid):
             raise NonFinite("Newton iterate overflowed")

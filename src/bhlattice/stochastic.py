@@ -204,7 +204,7 @@ class _NoiseTable:
             if i == self._stop:
                 self._fill(i)
             self._row = i
-        return _grid.apply_field(self._block[i - self._start], U, self._mode)
+        return _grid.field(self._block[i - self._start], U, self._mode)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -21,7 +21,9 @@ def truncated_field(p: Params, x: np.ndarray) -> np.ndarray:
     """F_m x with the Dirichlet boundary closure, for x over the 2m+1 sites
     -m..m (its last axis)."""
     m = (np.shape(x)[-1] - 1) // 2
-    return _grid.field(p, x, truncated_forcing(p, m), "truncated")
+    return _grid.field(
+        _grid.field_coefficients(p, 1.0, 0.0, truncated_forcing(p, m)), x,
+        "truncated")
 
 
 def restriction(u: LatticeWindow, m: int) -> np.ndarray:

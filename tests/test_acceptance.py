@@ -45,7 +45,7 @@ from bhlattice.attractor import PointCloud, hausdorff_semi
 from bhlattice.experiments import implicit_attractor, trend_nonincreasing
 from bhlattice.stochastic import NoiseConfig, ou_decay, ou_innovation_std
 from bhlattice import _grid
-from bhlattice._grid import rk4, field as grid_field
+from bhlattice._grid import rk4
 from bhlattice.truncation import truncated_forcing
 from dense_truncation import dense_truncated_field, laplacian_matrix
 
@@ -234,8 +234,7 @@ def test_criterion_10_random_field_reduction():
     init = sample_ball(1.5, "truncated", 8, 8, seed=5)
     pulled = pullback_sample(p, noise, 0.0, 0, 0.01, init)
     # [DERIVED] same clock, same integrator, deterministic field
-    f_m = truncated_forcing(p, 8)
-    det = rk4(lambda _t, U: grid_field(p, U, f_m, "truncated"),
+    det = rk4(lambda _t, U: truncated_field(p, U),
               init.points, 0.0, 0.01, 200)
     flow_gap = float(np.max(np.abs(pulled.points - det)))
     ok = worst <= 1e-15 and flow_gap <= 1e-9

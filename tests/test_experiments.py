@@ -380,6 +380,9 @@ class TestNoiseStudy:
                                 master_seed=2024)
         prov = run_noise_convergence(cfg).provenance
         assert (prov["dt"], prov["pullback_steps"]) == (0.01, 3000)
+        # (lam - lam*)^2 h_path^2 / 12 with lam - lam* = 1.4375
+        assert prov["radius_quad_rel_err"] == (1.4375 * 0.01) ** 2 / 12.0
+        assert prov["radius_quad_rel_err"] <= experiments.RADIUS_QUAD_REL_TOL
 
 
 class TestErrorOrder:
@@ -798,6 +801,9 @@ class TestCli:
         ("converge-noise", {"noise": {"pullback_T": 0.001}}),
         # one eps cannot give an order
         ("error-order", {"grids": {"eps_error_list": [0.02]}}),
+        # the radius's trapezoid bias estimate is 431, far above 1e-3 (the
+        # sigma = 0 radius would be 36.9 against the closed form 2)
+        ("converge-noise", {"noise": {"h_path": 50}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, monkeypatch, command, doc):
         def refuse(*args, **kwargs):

@@ -84,9 +84,14 @@ def on_grid(w: LatticeWindow, K: int) -> np.ndarray:
     return np.array([w[i] for i in range(-K, K + 1)])
 
 
+def det_field(p, U, f, mode):
+    """The deterministic field of p with forcing f at U."""
+    return _grid.field(_grid.field_coefficients(p, 1.0, 0.0, f), U, mode)
+
+
 def kernel(p, sigma, z, U, f, mode):
     if sigma == 0.0:
-        return _grid.field(p, U, f, mode)
+        return det_field(p, U, f, mode)
     return _grid.random_field(p, sigma, z, U, f, mode)
 
 
@@ -134,8 +139,8 @@ def test_jacobian_matches_central_differences(p, state, mode):
 
     def central(h):
         # row j: (F(U + h e_j) - F(U - h e_j)) / 2h, one batched call each
-        return (_grid.field(p, U + h * E, f, mode)
-                - _grid.field(p, U - h * E, f, mode)) / (2.0 * h)
+        return (det_field(p, U + h * E, f, mode)
+                - det_field(p, U - h * E, f, mode)) / (2.0 * h)
 
     # F is cubic, so the h^2 error term is the only one and extrapolation
     # removes it exactly
@@ -153,12 +158,29 @@ def test_jacobian_matches_central_differences(p, state, mode):
        mode=st.sampled_from(["window", "truncated"]))
 def test_random_field_at_zero_noise_is_field_bit_for_bit(p, state, z, mode):
     U, f = state
-    det = _grid.field(p, U, f, mode)
+    det = det_field(p, U, f, mode)
     rnd = _grid.random_field(p, 0.0, z, U, f, mode)
     assert det.tobytes() == rnd.tobytes()
     # the memory order of U does not change a bit of the result
     for layout in (np.ascontiguousarray(U), np.asfortranarray(U)):
-        assert _grid.field(p, layout, f, mode).tobytes() == det.tobytes()
+        assert det_field(p, layout, f, mode).tobytes() == det.tobytes()
+    # nor does the batch shape: each row alone as a 1-D state, as a (1, n)
+    # stack, and inside an (S, R, P, n) stack with per-(S, R) coefficients
+    # at sigma = 0, as the pullback's noise table forms them
+    rows = det.reshape(-1, det.shape[-1])
+    states = U.reshape(-1, U.shape[-1])
+    coef = _grid.field_coefficients(p, 1.0, 0.0, f)
+    sz = (np.zeros(2)[:, None] * np.array([z, -1.5, 2.0]))[..., None, None]
+    stack = np.broadcast_to(states, (2, 3) + states.shape)
+    per_row = _grid.field(_grid.field_coefficients(p, np.exp(sz), sz, f),
+                          stack, mode)
+    for i, (state, row) in enumerate(zip(states, rows)):
+        assert _grid.field(coef, state, mode).tobytes() == row.tobytes()
+        assert _grid.field(coef, state[None], mode)[0].tobytes() == \
+            row.tobytes()
+        for s in range(2):
+            for r in range(3):
+                assert per_row[s, r, i].tobytes() == row.tobytes()
 
 
 @PROPERTY
@@ -173,7 +195,7 @@ def test_advance_grid_equals_separate_solves(state, n_steps, mode):
     out = advance_grid(p, cfg, U, n_steps, mode)
     V = U
     for _ in range(n_steps):
-        V = _grid.picard_solve(lambda Y: _grid.field(p, Y, f, mode), V,
+        V = _grid.picard_solve(lambda Y: det_field(p, Y, f, mode), V,
                                cfg.eps, cfg.fp_tol, PICARD_MAX_ITER)[0]
     assert out.tobytes() == V.tobytes()
 
@@ -187,11 +209,11 @@ def test_picard_solve_returns_field_and_skips_first_evaluation():
 
     def counted(Y):
         calls.append(1)
-        return _grid.field(p, Y, f, "window")
+        return det_field(p, Y, f, "window")
 
     y, _, iters, Fy = _grid.picard_solve(counted, U, 0.01, 1e-10, 100)
     assert len(calls) == iters + 1
-    assert Fy.tobytes() == _grid.field(p, y, f, "window").tobytes()
+    assert Fy.tobytes() == det_field(p, y, f, "window").tobytes()
     calls.clear()
     y2, _, iters2, _ = _grid.picard_solve(counted, y, 0.01, 1e-10, 100, Fy)
     assert len(calls) == iters2
@@ -226,7 +248,7 @@ def test_per_row_coefficients_equal_per_row_calls(p, stack, mode):
     U, sigmas, zs, f = stack
     sz = (sigmas[:, None] * zs)[..., None, None]
     coef = _grid.field_coefficients(p, np.exp(sz), sz, f)
-    got = _grid.apply_field(coef, U, mode)
+    got = _grid.field(coef, U, mode)
     assert got.shape == U.shape
     for i, sigma in enumerate(sigmas):
         for j, z in enumerate(zs):
@@ -240,11 +262,11 @@ def test_rk4_leaves_overflow_to_require_finite():
     f = p.f.to_grid(2)
     U = np.array([[0.1, 0.2, 0.0, -0.1, 0.3], [1e6, -1e6, 1e6, -1e6, 1e6]])
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _grid.rk4(lambda _t, Y: _grid.field(p, Y, f, "window"),
+        out = _grid.rk4(lambda _t, Y: det_field(p, Y, f, "window"),
                         U, 0.0, 0.01, 20)
     assert np.all(np.isfinite(out[0])) and not np.all(np.isfinite(out[1]))
     # a row that overflows leaves the other rows as they are alone
-    alone = _grid.rk4(lambda _t, Y: _grid.field(p, Y, f, "window"),
+    alone = _grid.rk4(lambda _t, Y: det_field(p, Y, f, "window"),
                       U[:1], 0.0, 0.01, 20)
     assert out[0].tobytes() == alone[0].tobytes()
     assert _grid.require_finite(alone) is alone

@@ -289,6 +289,54 @@ def test_window_trims_and_checks_as_flatnonzero(offset, values):
     assert not u.values.flags.writeable
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(half_width=st.integers(0, 6), rows=st.integers(0, 5), data=st.data())
+def test_from_grids_equals_one_window_per_row(half_width, rows, data):
+    """Each row of a block becomes the window LatticeWindow(-K, row) gives,
+    bit for bit: all-zero rows, zeros of both signs and leading or
+    trailing zeros included."""
+    zeros = st.sampled_from([0.0, -0.0])
+    block = data.draw(hnp.arrays(
+        np.float64, (rows, 2 * half_width + 1),
+        elements=zeros | st.sampled_from([1.0, -2.5]) | st.floats(-3.0, 3.0)))
+    windows = LatticeWindow.from_grids(block, half_width)
+    assert len(windows) == rows
+    for w, row in zip(windows, block):
+        one = LatticeWindow(-half_width, row)
+        assert (w.offset, w.values.tobytes()) == \
+            (one.offset, one.values.tobytes())
+        assert type(w.offset) is int and not w.values.flags.writeable
+        alone = LatticeWindow.from_grid(row, half_width)
+        assert (alone.offset, alone.values.tobytes()) == \
+            (one.offset, one.values.tobytes())
+
+
+def test_from_grids_trims_signed_zeros_and_empty_rows():
+    block = np.array([[0.0, -0.0, 0.0], [-0.0, 1.0, 0.0], [0.0, -0.0, 2.0],
+                      [3.0, -0.0, -0.0], [-0.0, 0.0, -0.0], [4.0, -0.0, 5.0]])
+    got = [(w.offset, w.values.tobytes())
+           for w in LatticeWindow.from_grids(block, 1)]
+    assert got == [(0, b""), (0, np.array([1.0]).tobytes()),
+                   (1, np.array([2.0]).tobytes()),
+                   (-1, np.array([3.0]).tobytes()), (0, b""),
+                   (-1, np.array([4.0, -0.0, 5.0]).tobytes())]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_grids_refuses_what_the_constructor_refuses(bad):
+    block = np.zeros((3, 5))
+    block[1, 2] = bad
+    with pytest.raises(ValueError, match="window values must be finite"):
+        LatticeWindow(-2, block[1])
+    with pytest.raises(ValueError, match="window values must be finite"):
+        LatticeWindow.from_grids(block, 2)
+    with pytest.raises(ValueError, match="grid length"):
+        LatticeWindow.from_grids(np.zeros((3, 4)), 2)
+    for grid in (np.zeros(4), np.zeros((1, 5))):
+        with pytest.raises(ValueError, match="grid length"):
+            LatticeWindow.from_grid(grid, 2)
+
+
 def test_signed_zero_windows_share_a_hash():
     a = LatticeWindow(0, [1.0, 0.0, 2.0])
     b = LatticeWindow(0, [1.0, -0.0, 2.0])
@@ -375,9 +423,10 @@ class TestContractionBound:
         u, _, _ = stepping.equilibrium(p, half, mode)
         kappa = point_contraction(p, u, mode)
         w = 10.0 ** log_scale * direction / np.linalg.norm(direction)
-        f = stepping.forcing_grid(p, half, mode)
-        lhs = float((_grid.field(p, u + w, f, mode)
-                     - _grid.field(p, u, f, mode)) @ w)
+        coef = _grid.field_coefficients(
+            p, 1.0, 0.0, stepping.forcing_grid(p, half, mode))
+        lhs = float((_grid.field(coef, u + w, mode)
+                     - _grid.field(coef, u, mode)) @ w)
         assert lhs <= kappa * float(w @ w) + 1e-12 * (
             1.0 + float(w @ w) + float(np.sum(w**4)))
 
@@ -399,7 +448,8 @@ class TestContractionBound:
                    laplacian_sign=sign)
         half = (U.size - 1) // 2
         f = p.f.to_grid(half)
-        lhs = float(_grid.field(p, U, f, mode) @ U)
+        lhs = float(_grid.field(_grid.field_coefficients(p, 1.0, 0.0, f), U,
+                                mode) @ U)
         rhs = -lam_gap * float(U @ U) + float(f @ U)
         assert lhs <= rhs + 1e-12 * (1.0 + float(U @ U) ** 2)
 

@@ -190,6 +190,23 @@ class TestTrajectory:
             assert (u.offset, u.values.tobytes()) == \
                 (state.offset, state.values.tobytes())
 
+    @pytest.mark.parametrize("n", [stepping.TRAJ_BLOCK - 1, stepping.TRAJ_BLOCK,
+                                   stepping.TRAJ_BLOCK + 1, 600])
+    def test_states_across_window_blocks_equal_single_steps(self, n):
+        """The windows are built a block of TRAJ_BLOCK solutions at a time:
+        a run that ends just before, on or after a block boundary, or
+        spans several blocks and a part, still gives each single step."""
+        cfg = StepConfig(eps=0.01)
+        u0 = LatticeWindow(-2, [0.3, -0.7, 0.5, 0.0, 0.2])
+        traj = run_trajectory(FORCED, cfg, u0, n, 16)
+        assert len(traj.states) == n + 1 and traj.states[0] is u0
+        u = u0
+        for state in traj.states[1:]:
+            u, _ = implicit_step_info(FORCED, cfg, u, 16)
+            assert (u.offset, u.values.tobytes()) == \
+                (state.offset, state.values.tobytes())
+            assert not state.values.flags.writeable
+
     def test_field_of_each_solution_carries_over(self, monkeypatch):
         """n Picard steps cost 1 + sum(iterations) field evaluations: only
         the first step evaluates F at its start state."""
@@ -224,8 +241,9 @@ class TestEquilibrium:
                                                   ("truncated", 8)])
     def test_is_a_zero_of_the_field(self, mode, half_width):
         u, resid, iterations = stepping.equilibrium(FORCED, half_width, mode)
-        F = _grid.field(FORCED, u,
-                        stepping.forcing_grid(FORCED, half_width, mode), mode)
+        coef = _grid.field_coefficients(
+            FORCED, 1.0, 0.0, stepping.forcing_grid(FORCED, half_width, mode))
+        F = _grid.field(coef, u, mode)
         assert resid == float(np.max(np.abs(F))) <= stepping.EQUILIBRIUM_TOL
         assert u.shape == (2 * half_width + 1,) and iterations >= 1
 
@@ -249,10 +267,11 @@ class TestEquilibrium:
         from scipy.linalg import solve_banded
 
         p = FORCED.replace(laplacian_sign=sign)
-        f = stepping.forcing_grid(p, half_width, mode)
+        coef = _grid.field_coefficients(
+            p, 1.0, 0.0, stepping.forcing_grid(p, half_width, mode))
         want = np.zeros(2 * half_width + 1)
         for it in range(stepping.EQUILIBRIUM_MAX_ITER + 1):
-            F = _grid.field(p, want, f, mode)
+            F = _grid.field(coef, want, mode)
             if np.max(np.abs(F)) <= stepping.EQUILIBRIUM_TOL:
                 break
             want = want - solve_banded(
@@ -322,14 +341,15 @@ class TestStacks:
         cfg = StepConfig(eps=eps)
         steps = list(stepping.implicit_steps(FORCED, cfg, U, n_steps, mode))
         got = steps[-1][0]
-        f_grid = stepping.forcing_grid(FORCED, (U.shape[1] - 1) // 2, mode)
+        coef = _grid.field_coefficients(FORCED, 1.0, 0.0, stepping.forcing_grid(
+            FORCED, (U.shape[1] - 1) // 2, mode))
         for r, row in enumerate(U):
-            y, F = row, _grid.field(FORCED, row, f_grid, mode)
+            y, F = row, _grid.field(coef, row, mode)
             for _, info in steps:
                 start = y
                 for _ in range(info.iterations):
                     y = start + eps * F
-                    F = _grid.field(FORCED, y, f_grid, mode)
+                    F = _grid.field(coef, y, mode)
             assert got[r].tobytes() == y.tobytes()
         alone = stepping.advance_grid(FORCED, cfg, U[0], n_steps, mode)
         copies = stepping.advance_grid(FORCED, cfg, np.tile(U[0], (3, 1)),
@@ -421,10 +441,10 @@ class TestReferenceFlows:
         Y, dt, n_steps, K = stack
         got = stepping.reference_flows(FORCED, Y, dt, n_steps)
         assert got.shape == Y.shape
-        f_grid = FORCED.f.to_grid(K)
+        coef = _grid.field_coefficients(FORCED, 1.0, 0.0, FORCED.f.to_grid(K))
         for r, row in enumerate(Y):
             alone = _grid.rk4(
-                lambda _t, U: _grid.field(FORCED, U, f_grid, "window"),
+                lambda _t, U: _grid.field(coef, U, "window"),
                 row, 0.0, dt, n_steps)
             assert got[r].tobytes() == alone.tobytes()
 

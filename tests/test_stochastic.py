@@ -321,6 +321,24 @@ class TestPullbackBatch:
                                     init, self.T)
             assert batch.points[1, k].tobytes() == plain.tobytes()
 
+    def test_each_step_is_four_field_calls_on_the_whole_stack(
+            self, params, monkeypatch):
+        """Every stage goes through _grid.field, the package's one field
+        kernel, once for all (sigma, realization) copies."""
+        shapes, real_field = [], _grid.field
+
+        def counting_field(*args):
+            shapes.append(args[1].shape)
+            return real_field(*args)
+
+        monkeypatch.setattr(_grid, "field", counting_field)
+        init = sample_ball(1.5, "truncated", 4, 6, seed=0)
+        batch = pullback_batch(params, self.noise(), (0.4, 0.0), range(3),
+                               self.DT, init)
+        assert batch.n_steps == 200
+        assert len(shapes) == 4 * batch.n_steps
+        assert set(shapes) == {(2, 3) + init.points.shape}
+
     def test_horizon_shorter_than_half_a_step_is_a_value_error(self, params):
         noise = NoiseConfig(h_path=0.001, pullback_T=0.004)
         init = sample_ball(1.0, "truncated", 3, 4, seed=0)
