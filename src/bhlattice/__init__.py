@@ -18,9 +18,9 @@ from .stepping import (StepConfig, StepInfo, Trajectory, equilibrium,
                        run_trajectory)
 from .truncation import restriction, truncated_field
 from .attractor import (AttractorConfig, PointCloud, attractor_approx,
-                        cloud_from_json, cloud_norm, cloud_to_json,
-                        embed_cloud, hausdorff_semi, hausdorff_sym,
-                        sample_ball, tail_profile)
+                        cloud_diameter, cloud_from_json, cloud_norm,
+                        cloud_to_json, embed_cloud, hausdorff_semi,
+                        hausdorff_sym, sample_ball, tail_profile)
 from .stochastic import (AbsorbingRadius, NoiseConfig, OUPath,
                          absorbing_radius, ergodic_average, ou_path,
                          ou_path_from_json, ou_path_to_json, pullback_batch,

@@ -19,6 +19,9 @@ CLOUD_SCHEMA_VERSION = 1
 # most d_k * rho / (1 - rho) <= d_k <= tol.
 CONTRACTION_RATIO = 0.5
 
+# most squared differences that one block of a distance matrix holds
+DISTANCE_BLOCK = 2**16
+
 
 @dataclasses.dataclass
 class AttractorConfig:
@@ -92,9 +95,9 @@ def sample_ball(radius: float, space: str, half_width: int, count: int,
 
 def hausdorff_semi(A: PointCloud, B: PointCloud) -> float:
     """d(A, B) = max over a of min over b of ||a - b||, from the full
-    matrix of pairwise distances (scipy's cdist)."""
+    matrix of pairwise distances."""
     _check_same_space(A, B)
-    return _semi_arrays(A.points, B.points)
+    return float(np.max(np.min(_distances(A.points, B.points), axis=1)))
 
 
 def hausdorff_sym(A: PointCloud, B: PointCloud) -> float:
@@ -107,6 +110,11 @@ def cloud_norm(A: PointCloud) -> float:
     return float(np.max(np.linalg.norm(A.points, axis=1)))
 
 
+def cloud_diameter(A: PointCloud) -> float:
+    """Largest distance between two points of the cloud (0 for one point)."""
+    return float(np.max(_distances(A.points, A.points)))
+
+
 def _check_same_space(A: PointCloud, B: PointCloud):
     if A.space != B.space or A.half_width != B.half_width:
         raise SpaceMismatch(
@@ -114,21 +122,26 @@ def _check_same_space(A: PointCloud, B: PointCloud):
             f"vs ({B.space}, {B.half_width}); embed first")
 
 
-def _semi_arrays(a: np.ndarray, b: np.ndarray) -> float:
-    # imported on first use: loading scipy.spatial costs about 0.15 s
-    from scipy.spatial.distance import cdist
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (len(a), len(b)) matrix of Euclidean distances between rows.
 
-    dmat = cdist(a, b)
-    return float(np.max(np.min(dmat, axis=1)))
+    Squared differences are summed in coordinate order, the order of
+    scipy's cdist, so every entry has cdist's bits.  Rows of ``a`` go
+    through in blocks of at most DISTANCE_BLOCK differences, or one row
+    where a row alone holds more."""
+    out = np.empty((len(a), len(b)))
+    rows = max(1, DISTANCE_BLOCK // (len(b) * a.shape[1]))
+    for i in range(0, len(a), rows):
+        d = a[i:i + rows, None, :] - b
+        d *= d
+        np.sqrt(np.add.accumulate(d, axis=-1)[..., -1], out=out[i:i + rows])
+    return out
 
 
 def _sym_arrays(a: np.ndarray, b: np.ndarray) -> float:
-    # imported on first use: loading scipy.spatial costs about 0.15 s
-    from scipy.spatial.distance import cdist
-
     # both semi-distances from one matrix: d(a, b) over its rows, d(b, a)
     # over its columns
-    dmat = cdist(a, b)
+    dmat = _distances(a, b)
     return float(max(np.max(np.min(dmat, axis=1)),
                      np.max(np.min(dmat, axis=0))))
 

@@ -16,8 +16,9 @@ import numpy as np
 
 from . import __version__
 from .attractor import (AttractorConfig, PointCloud, attractor_approx,
-                        cloud_norm, embed_cloud, hausdorff_semi,
-                        hausdorff_sym, sample_ball, tail_profile)
+                        cloud_diameter, cloud_norm, embed_cloud,
+                        hausdorff_semi, hausdorff_sym, sample_ball,
+                        tail_profile)
 from .errors import (ConfigError, DissipativityViolation, NoConvergence,
                      NonFinite, _is_int, _is_real)
 from .lattice import (LatticeWindow, Params, derived_constants, l_bound,
@@ -379,8 +380,11 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ResultTable:
     rows = {"sigma": [], "mean_dist": [], "max_dist": [], "stderr": [],
             "excluded": [], "mean_radius": []}
     excluded_realizations = []
+    # per sigma, the widest kept cloud at t = 0: near 0 when every pullback
+    # has forgotten its start point
+    spreads = []
     for i, sigma in enumerate(sigmas):
-        dists, radii, excluded = [], [], 0
+        dists, radii, excluded, spread = [], [], 0, 0.0
         for k, path in enumerate(batch.paths):
             if not batch.finite[i, k]:
                 excluded += 1
@@ -390,6 +394,7 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ResultTable:
                 continue
             cloud = PointCloud("truncated", m, batch.points[i, k])
             dists.append(hausdorff_sym(cloud, a_det))
+            spread = max(spread, cloud_diameter(cloud))
             radii.append(absorbing_radius(cfg.params, sigma, path, 1e-6).value)
         if not dists:
             raise NonFinite(f"all {excluded} realizations at sigma={sigma} "
@@ -402,6 +407,7 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ResultTable:
                               if len(dists) > 1 else 0.0)
         rows["excluded"].append(excluded)
         rows["mean_radius"].append(float(np.mean(radii)))
+        spreads.append(spread)
     prov = _provenance(cfg)
     # the step the pullback took, pullback_T / pullback_steps: not dt
     # itself unless dt divides pullback_T
@@ -411,6 +417,7 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ResultTable:
                  "steps_evolved": {"deterministic":
                                    a_det.meta["steps_evolved"]},
                  "excluded_realizations": excluded_realizations,
+                 "pullback_spread": spreads,
                  "sigma_slope": _log_slope(rows["sigma"], rows["mean_dist"])})
     return ResultTable("noise_convergence", rows, prov)
 

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from bhlattice import attractor
 from bhlattice import (
     AttractorConfig,
     NotStabilized,
     PointCloud,
     SpaceMismatch,
     attractor_approx,
+    cloud_diameter,
     cloud_from_json,
     cloud_norm,
     cloud_to_json,
@@ -93,6 +98,64 @@ class TestHausdorff:
     def test_cloud_norm(self):
         A = cloud([[3.0, 4.0, 0.0], [1.0, 0.0, 0.0]])
         assert cloud_norm(A) == pytest.approx(5.0)
+
+    def test_cloud_diameter(self):
+        A = cloud([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        assert cloud_diameter(A) == 5.0
+        assert cloud_diameter(cloud([[3.0, 4.0, 0.0]])) == 0.0
+
+
+def cdist_distances(a, b):
+    """semi(a, b), semi(b, a), the diameter of a, from scipy's cdist."""
+    d = cdist(a, b)
+    return (float(np.max(np.min(d, axis=1))), float(np.max(np.min(d, axis=0))),
+            float(np.max(cdist(a, a))))
+
+
+def assert_bits_of_cdist(a, b):
+    A, B = cloud(a), cloud(b)
+    semi_ab, semi_ba, diam = cdist_distances(a, b)
+    assert hausdorff_semi(A, B).hex() == semi_ab.hex()
+    assert hausdorff_semi(B, A).hex() == semi_ba.hex()
+    sym = hausdorff_sym(A, B)
+    assert sym.hex() == max(semi_ab, semi_ba).hex()
+    assert hausdorff_sym(B, A) == sym
+    assert hausdorff_sym(A, A) == 0.0
+    assert cloud_diameter(A).hex() == diam.hex()
+
+
+class TestHausdorffBits:
+    """Every distance has the bits of scipy's cdist formula: the squared
+    differences are summed in coordinate order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(P=st.integers(1, 70), Q=st.integers(1, 70),
+           n=st.sampled_from([1, 17, 33, 129, 257]),
+           scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3]),
+           near=st.sampled_from([None, 0.0, 1e-15, 1e-9]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_cdist(self, P, Q, n, scale, near, seed):
+        # near: B is rows of A moved by at most this much (None: B drawn
+        # independently)
+        rng = np.random.default_rng(seed)
+        a = scale * rng.standard_normal((P, n))
+        if near is None:
+            b = scale * rng.standard_normal((Q, n))
+        else:
+            b = a[rng.integers(0, P, Q)] + near * scale * rng.uniform(
+                -1.0, 1.0, (Q, n))
+        assert_bits_of_cdist(a, b)
+
+    def test_equals_cdist_past_one_row_block(self):
+        # one row of A against B holds more than a block of differences,
+        # so every row is its own block
+        rng = np.random.default_rng(36)
+        n = 257
+        Q = attractor.DISTANCE_BLOCK // n + 3
+        a = rng.standard_normal((5, n))
+        b = np.concatenate([a[[3, 1]] + 1e-12, rng.standard_normal((Q, n))])
+        assert_bits_of_cdist(a, b)
+        assert_bits_of_cdist(b, a)
 
 
 class TestEmbedding:

@@ -339,6 +339,7 @@ class TestNoiseStudy:
             {"sigma": 5.0, "realization": k, "reason": "non-finite end state"}
             for k in (0, 3)]
         assert np.isfinite(table.column("mean_dist")).all()
+        assert np.isfinite(table.provenance["pullback_spread"]).all()
         json.dumps(table.provenance)
 
     def test_sigma_slope_is_least_squares_over_positive_sigmas(self):
@@ -353,6 +354,34 @@ class TestNoiseStudy:
         # provenance, not columns: the table keeps its six columns
         assert list(table.columns) == ["sigma", "mean_dist", "max_dist",
                                        "stderr", "excluded", "mean_radius"]
+
+    def test_pullback_spread_vanishes_at_the_criterion_12_config(self):
+        # criterion 12's config with 2 realizations: at t = 0 the 8 points
+        # of every kept (sigma, k) cloud have met, so each pullback has
+        # forgotten where it started
+        cfg = default_config(window_half_width=64, pullback_points=8)
+        cfg.attractor = AttractorConfig(sample_count=64, burn_in=1000,
+                                        stabilization_gap=20,
+                                        stabilization_tol=1e-7,
+                                        max_rounds=200, seed=0)
+        cfg.noise = NoiseConfig(realizations=2)
+        table = run_noise_convergence(cfg)
+        spread = table.provenance["pullback_spread"]
+        assert len(spread) == len(table.column("sigma")) == 5
+        assert all(0.0 <= s <= 1e-12 for s in spread)
+
+    def test_pullback_spread_shrinks_with_the_pullback_time(self):
+        # the witness is not 0 by construction: a short pullback leaves
+        # the start points apart
+        def spread(T):
+            cfg = self.small_config((0.2, 0.0))
+            cfg.noise = NoiseConfig(h_path=0.01, pullback_T=T,
+                                    realizations=4, master_seed=2024)
+            return run_noise_convergence(cfg).provenance["pullback_spread"]
+
+        short, longer = spread(0.5), spread(2.0)
+        assert min(short) > 0.1
+        assert all(0.0 < b < 1e-2 * a for a, b in zip(short, longer))
 
     def test_sigma_slope_needs_two_positive_sigmas(self):
         table = run_noise_convergence(self.small_config((0.2, 0.0)))

@@ -1,8 +1,9 @@
-"""scipy is imported on first use, by the Newton solve and the Hausdorff
-distances only: ``import bhlattice`` and the studies that never call them
-(a trajectory, the error-order study, ``simulate``, ``ou-path``) load no
-scipy module.  Each check runs in a fresh interpreter, since this test
-process has long since loaded scipy."""
+"""scipy is imported on first use, by the Newton solve and the point
+certificate only (``scipy.linalg``): ``import bhlattice`` and the studies
+that never call them (a trajectory, the error-order study, ``simulate``,
+``ou-path``) load no scipy module, and no stage loads ``scipy.spatial``,
+since the Hausdorff distances are plain numpy.  Each check runs in a fresh
+interpreter, since this test process has long since loaded scipy."""
 
 import json
 import os
@@ -19,8 +20,8 @@ from bhlattice import PointCloud, default_params, equilibrium, hausdorff_sym
 
 SRC = pathlib.Path(bhlattice.__file__).resolve().parents[1]
 
-# prints, as one JSON line, the scipy modules loaded after each stage and
-# the values of the two scipy users
+# prints, as one JSON line, the scipy modules loaded after each stage, the
+# Newton solve's values and one Hausdorff distance
 SCRIPT = textwrap.dedent("""
     import contextlib, io, json, sys
 
@@ -34,9 +35,12 @@ SCRIPT = textwrap.dedent("""
     note("import")
 
     import numpy as np
-    from bhlattice import (LatticeWindow, PointCloud, StepConfig, cli,
+    from bhlattice import (AttractorConfig, GridConfig, LatticeWindow,
+                           NoiseConfig, PointCloud, StepConfig, cli,
                            default_config, default_params, equilibrium,
-                           hausdorff_sym, run_error_order, run_trajectory)
+                           hausdorff_sym, run_dim_convergence,
+                           run_error_order, run_noise_convergence,
+                           run_trajectory)
     p = default_params()
     run_trajectory(p, StepConfig(eps=0.01), LatticeWindow.basis(0, 0.5), 5,
                    half_width=8)
@@ -55,6 +59,15 @@ SCRIPT = textwrap.dedent("""
     a, b = rng.standard_normal((2, 5, 17))
     d = hausdorff_sym(PointCloud("window", 8, a), PointCloud("window", 8, b))
     note("hausdorff_sym")
+    tiny = default_config(
+        grids=GridConfig(m_list=(2, 4), sigma_list=(0.1, 0.0)),
+        attractor=AttractorConfig(sample_count=2),
+        noise=NoiseConfig(realizations=2, pullback_T=1.0),
+        window_half_width=8, noise_m=4, pullback_points=2)
+    run_dim_convergence(tiny)
+    note("run_dim_convergence")
+    run_noise_convergence(tiny)
+    note("run_noise_convergence")
     print(json.dumps({"loaded": loaded,
                       "equilibrium": [x.hex() for x in u.tolist()],
                       "resid": resid.hex(), "hausdorff_sym": d.hex()}))
@@ -83,8 +96,12 @@ def test_newton_solve_loads_scipy_linalg(fresh):
     assert not any(m.startswith("scipy.spatial") for m in loaded)
 
 
-def test_hausdorff_loads_scipy_spatial(fresh):
-    assert "scipy.spatial.distance" in fresh["loaded"]["hausdorff_sym"]
+def test_no_stage_loads_scipy_spatial(fresh):
+    assert list(fresh["loaded"]) == [
+        "import", "run_trajectory", "run_error_order", "cli", "equilibrium",
+        "hausdorff_sym", "run_dim_convergence", "run_noise_convergence"]
+    for stage, loaded in fresh["loaded"].items():
+        assert not [m for m in loaded if m.startswith("scipy.spatial")], stage
 
 
 def test_first_use_returns_the_in_process_values(fresh):
