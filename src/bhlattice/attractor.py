@@ -9,7 +9,7 @@ import json
 import numpy as np
 
 from .errors import NotStabilized, SpaceMismatch, _is_int, _is_real
-from .lattice import LatticeWindow, tail_mass
+from .lattice import tail_masses
 
 CLOUD_SCHEMA_VERSION = 1
 
@@ -73,9 +73,6 @@ class PointCloud:
 
     def __len__(self):
         return self.points.shape[0]
-
-    def windows(self):
-        return [LatticeWindow(-self.half_width, row) for row in self.points]
 
 
 def sample_ball(radius: float, space: str, half_width: int, count: int,
@@ -196,7 +193,7 @@ def tail_profile(A: PointCloud, k: int) -> float:
     """Max over points of the cut-off tail mass beyond index k."""
     if A.space == "truncated" and A.half_width < 2 * k:
         raise ValueError("truncated cloud too narrow for this tail index")
-    return max(tail_mass(w, k) for w in A.windows())
+    return float(np.max(tail_masses(A.points, k, -A.half_width)))
 
 
 # -- serialization ----------------------------------------------------------
@@ -208,9 +205,10 @@ def cloud_to_json(A: PointCloud) -> str:
         "space": A.space,
         "half_width": A.half_width,
         "points": [[float(x) for x in row] for row in A.points],
-        "meta": _jsonable(A.meta),
+        "meta": A.meta,
     }
-    return json.dumps(doc, separators=(",", ":"))
+    # numpy scalars in meta become the Python numbers they hold
+    return json.dumps(doc, separators=(",", ":"), default=lambda x: x.item())
 
 
 def cloud_from_json(text: str) -> PointCloud:
@@ -220,12 +218,3 @@ def cloud_from_json(text: str) -> PointCloud:
     return PointCloud(doc["space"], int(doc["half_width"]),
                       np.array(doc["points"], dtype=float), doc.get("meta", {}))
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj

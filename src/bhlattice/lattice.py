@@ -123,11 +123,7 @@ class LatticeWindow:
         """Dense array over [-half_width, half_width]; raises if mass is lost."""
         if not self.fits(half_width):
             raise ValueError("window support exceeds the requested grid")
-        grid = np.zeros(2 * half_width + 1)
-        if self.values.size:
-            lo, hi = self.support
-            grid[lo + half_width : hi + half_width + 1] = self.values
-        return grid
+        return self.clip_to_grid(half_width)
 
     def clip_to_grid(self, half_width: int) -> np.ndarray:
         """Dense array over [-half_width, half_width]; components outside
@@ -358,6 +354,11 @@ def cutoff_xi(k: int, i: int | np.ndarray) -> float | np.ndarray:
 
 def tail_mass(u: LatticeWindow, k: int) -> float:
     """Sum of xi_{k,i} * u_i^2; an upper surrogate for the mass beyond |i|=2k."""
-    lo, hi = u.support
-    xi = cutoff_xi(k, np.arange(lo, hi + 1))
-    return float(np.sum(xi * u.values**2))
+    return float(tail_masses(u.values, k, u.offset))
+
+
+def tail_masses(U: np.ndarray, k: int, lo: int) -> np.ndarray:
+    """``tail_mass`` of each grid in U, one grid or a stack of them, whose
+    last axis holds the sites lo, lo + 1, ..."""
+    xi = cutoff_xi(k, np.arange(lo, lo + U.shape[-1]))
+    return np.sum(xi * U**2, axis=-1)

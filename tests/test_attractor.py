@@ -292,6 +292,20 @@ class TestSerialization:
         assert np.array_equal(A.points, B.points)
         assert B.meta["eps"] == 0.01 and B.meta["m"] == 4
 
+    def test_numpy_scalars_and_tuples_in_meta_round_trip(self):
+        meta = {"rounds": np.int64(3), "certified": np.bool_(True),
+                "kappa": np.float64(-0.5), "iterations": np.int32(7),
+                "shape": (2, np.int64(3)), "steps": {"rows": [np.int64(0)]}}
+        A = PointCloud("window", 1, np.eye(3)[:2], meta=meta)
+        text = cloud_to_json(A)
+        B = cloud_from_json(text)
+        assert B.meta == {"rounds": 3, "certified": True, "kappa": -0.5,
+                          "iterations": 7, "shape": [2, 3],
+                          "steps": {"rows": [0]}}
+        assert type(B.meta["rounds"]) is int
+        assert type(B.meta["certified"]) is bool
+        assert cloud_to_json(B) == text
+
     def test_version_check(self):
         A = cloud([[1.0, 2.0, 3.0]])
         text = cloud_to_json(A).replace('"version":1', '"version":99')

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -596,6 +597,47 @@ class TestVerify:
         assert (check["witness"]["newton_iterations"],
                 check["witness"]["max_F"]) == (50, 3e-9)
         json.dumps(report)
+
+    @pytest.mark.parametrize("breach", ["iteration_cap", "ball", "energy"])
+    def test_broken_solver_contract_fails(self, breach, monkeypatch,
+                                          tmp_path):
+        """A step of the sampled stack over the iteration cap, out of the
+        absorbing ball or above the energy recurrence fails
+        solver_contract, ends the report there and makes the CLI exit 1."""
+        r_star = derived_constants(default_params()).r_star
+        calls = []
+
+        def breaks(V, info):
+            if breach == "iteration_cap":
+                # the cap at the default config is 16
+                return V, dataclasses.replace(info, iterations=17)
+            norms = np.linalg.norm(V, axis=1, keepdims=True)
+            if breach == "ball":
+                # (a row out of the ball also breaks the energy recurrence)
+                W = V.copy()
+                W[0] *= 2.0 * r_star / norms[0]
+                return W, info
+            # every row on the sphere of radius r*: inside the ball's
+            # tolerance, above the recurrence's bound
+            return V * (r_star / norms), info
+
+        def steps(p, cfg, U, n_steps, mode):
+            calls.append((U.shape, n_steps, mode))
+            for V, info in stepping.implicit_steps(p, cfg, U, n_steps, mode):
+                yield breaks(V, info)
+
+        monkeypatch.setattr(experiments, "implicit_steps", steps)
+        ok, report = verify(default_config())
+        assert ok is False
+        assert calls == [((20, 65), 1, "window")]
+        check = report["checks"][-1]
+        assert (check["check"], check["status"]) == ("solver_contract",
+                                                     "fail")
+        assert check["witness"]["iteration_cap"] == 16
+        assert all(c["status"] == "pass" for c in report["checks"][:-1])
+        assert main(["--out", str(tmp_path), "verify"]) == 1
+        written = json.loads((tmp_path / "verify_report.json").read_text())
+        assert written["checks"][-1] == check
 
 
 class TestCli:

@@ -24,6 +24,7 @@ from bhlattice import (
     vector_field,
 )
 from bhlattice import _grid, stepping
+from bhlattice.lattice import tail_masses
 
 
 def random_window(rng, half=8, radius=None):
@@ -230,6 +231,15 @@ class TestCutoff:
         u = LatticeWindow(-4, np.random.default_rng(7).standard_normal(9))
         assert tail_mass(u, 4) == 0.0
 
+    def test_tail_masses_of_a_stack_are_each_rows(self):
+        rng = np.random.default_rng(8)
+        U = rng.standard_normal((3, 4, 21))
+        masses = tail_masses(U, 3, -10)
+        assert masses.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            assert masses[idx] == tail_mass(LatticeWindow(-10, U[idx]), 3)
+        assert tail_mass(LatticeWindow.zero(), 2) == 0.0
+
 
 class TestMonotonicity:
     # nondecreasing in nu and alpha everywhere; beta enters lambda_star
@@ -351,6 +361,13 @@ def test_clip_to_grid_is_componentwise(offset, values, half_width):
     u = LatticeWindow(offset, np.array(values, dtype=float))
     expected = [u[i] for i in range(-half_width, half_width + 1)]
     assert u.clip_to_grid(half_width).tolist() == expected
+    # to_grid is the same placement, for a window that fits
+    if u.fits(half_width):
+        assert u.to_grid(half_width).tobytes() == \
+            u.clip_to_grid(half_width).tobytes()
+    else:
+        with pytest.raises(ValueError, match="exceeds the requested grid"):
+            u.to_grid(half_width)
 
 
 def test_clip_to_grid_of_window_outside_on_both_sides():

@@ -16,7 +16,6 @@ from bhlattice import (
     vector_field,
 )
 from bhlattice import _grid
-from bhlattice.attractor import PointCloud, embed_cloud
 from bhlattice.stepping import implicit_steps
 from bhlattice.truncation import truncated_forcing
 from dense_truncation import (d_minus_matrix, d_plus_matrix,
@@ -34,10 +33,8 @@ def random_state(rng, m, scale=1.0):
 
 
 def null_expansion(x: np.ndarray) -> LatticeWindow:
-    """x zero-padded outside [-m, m], through the cloud embedding."""
-    m = (x.size - 1) // 2
-    cloud = PointCloud("truncated", m, x[None])
-    return embed_cloud(cloud, m).windows()[0]
+    """x zero-padded outside [-m, m]: the window of the grid x."""
+    return LatticeWindow.from_grid(x, (x.size - 1) // 2)
 
 
 def kernel_matrix(op, m):
