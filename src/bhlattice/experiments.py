@@ -424,6 +424,9 @@ def run_noise_convergence(cfg: ExperimentConfig) -> ResultTable:
                                    a_det.meta["steps_evolved"]},
                  "excluded_realizations": excluded_realizations,
                  "pullback_spread": spreads,
+                 # the distinct rows the pullback stack held at its start
+                 # and at its end
+                 "pullback_rows": list(batch.rows),
                  "sigma_slope": _log_slope(rows["sigma"], rows["mean_dist"])})
     return ResultTable("noise_convergence", rows, prov)
 
@@ -548,6 +551,17 @@ def _ball_samples(rng, count, half, radius, half_width) -> np.ndarray:
     return U
 
 
+def _energy_bound(p: Params, dc, eps: float, U: np.ndarray,
+                  fp_tol: float) -> np.ndarray:
+    """The energy recurrence's bound on ||v||^2 after one implicit step of
+    eps from each row u of U, (||u||^2 + eps*||f||^2/(lam - lam*)) /
+    (1 + eps*(lam - lam*)), with a slack of 10*fp_tol*r* for a step solved
+    to the fixed-point tolerance fp_tol."""
+    lam_gap = p.lam - dc.lambda_star
+    return (_grid.row_norms(U) ** 2 + eps * p.f.norm() ** 2 / lam_gap) \
+        / (1 + eps * lam_gap) + 10 * fp_tol * dc.r_star
+
+
 def verify(cfg: ExperimentConfig) -> tuple[bool, dict]:
     """Check that the implicit-Euler theory covers this configuration:
     lam exceeds lam* (``dissipativity``), every eps in grids.eps_list is at
@@ -596,14 +610,14 @@ def verify(cfg: ExperimentConfig) -> tuple[bool, dict]:
     # one solve of the whole stack: its residual and iterations are the
     # slowest row's
     (V, info), = implicit_steps(p, step_cfg, U, 1, "window")
-    # each row keeps the ball and meets the energy recurrence
-    lam_gap = p.lam - dc.lambda_star
-    v_norm = _grid.row_norms(V)
-    rhs = (_grid.row_norms(U) ** 2 + eps * p.f.norm() ** 2 / lam_gap) \
-        / (1 + eps * lam_gap) + 10 * step_cfg.fp_tol * dc.r_star
+    # each row meets the energy recurrence, and so keeps the ball
+    # ||v|| <= r* + 10*fp_tol: from ||u|| <= r* the bound without its
+    # slack lies at least eps*((lam - lam*)*r*^2 - ||f||^2/(lam - lam*)) /
+    # (1 + eps*(lam - lam*)) below r*^2, which is positive since
+    # r* = 1 + ||f||/(lam - lam*); so ||v||^2 <= r*^2 + 10*fp_tol*r*
     ok = bool(info.iterations <= cap
-              and np.all(v_norm <= dc.r_star + 10 * step_cfg.fp_tol)
-              and np.all(v_norm ** 2 <= rhs))
+              and np.all(_grid.row_norms(V) ** 2
+                         <= _energy_bound(p, dc, eps, U, step_cfg.fp_tol)))
     record("solver_contract", ok, {"max_residual": info.residual,
                                    "max_iterations": info.iterations,
                                    "iteration_cap": cap})

@@ -156,18 +156,20 @@ def random_field(p: Params, sigma: float, z_t: float,
         p, sigma, z_t, G, f, "window"))
 
 
-# RK4 steps whose stage coefficients are built at once: about 0.5 MB for
-# the noise study's (S, R) = (4, 2) pairs on 33 sites
-TABLE_BLOCK_STEPS = 128
+# RK4 steps per segment of a pullback and per block of its noise table:
+# 16 steps of coefficients for 56 rows of 33 sites take about 0.5 MB.  A
+# cloud that has become one point is dropped at a segment's end
+TABLE_BLOCK_STEPS = 16
 
 
 class _NoiseTable:
-    """The random field of every (sigma, path) pair at the RK4 stage times
-    ``_grid.stage_times(t0, dt, n_steps)``, as a right-hand side f(t, U)
-    for ``_grid.rk4`` on an (S, R, ...) stack.
+    """The random field of each row of a pullback stack at the RK4 stage
+    times ``_grid.stage_times(t0, dt, n_steps)``, as a right-hand side
+    f(t, U) for ``_grid.rk4`` on an (N, n) stack.
 
-    z is read off each path at every stage time once, and the field
-    coefficients are built from it TABLE_BLOCK_STEPS steps at a time; each
+    z is read off each path at every stage time once.  ``select`` gives
+    each row's noise intensity and path, and the field coefficients of
+    those rows are built from them TABLE_BLOCK_STEPS steps at a time; each
     call applies the coefficients of its stage time, which must be the
     time of the last call or the next one."""
 
@@ -176,26 +178,35 @@ class _NoiseTable:
         self.times = _grid.stage_times(t0, dt, n_steps)
         for path in paths:
             _check_horizon(path.grid, self.times[0], self.times[-1])
-        # z at every stage time, (times, 1, R); sigma as (S, 1)
+        # z at every stage time, (times, R)
         self._z = np.stack([np.interp(self.times, path.grid, path.z)
-                            for path in paths], axis=1)[:, None, :]
-        self._sig = np.asarray(sigmas, dtype=float)[:, None]
+                            for path in paths], axis=1)
+        self._sig = np.asarray(sigmas, dtype=float)
         self._p, self._f_grid, self._mode = p, f_grid, mode
-        self._row = 0
-        self._fill(0)
+        # the index of the last call's stage time
+        self._now = 0
+
+    def select(self, sigma_index, path_index):
+        """From the current stage time on, row r of the stack has noise
+        intensity sigmas[sigma_index[r]] along paths[path_index[r]]."""
+        self._sig_rows = self._sig[sigma_index]
+        self._path_rows = np.asarray(path_index)
+        self._fill(self._now)
 
     def _fill(self, start: int):
-        # the rows of the next block: sigma*z and exp(sigma*z) of each
-        # (sigma, path) pair, with a length-1 cloud and state axis
+        # the coefficients of the next block, one per row and stage time,
+        # from sigma*z and exp(sigma*z) with a length-1 state axis
         stop = min(start + 2 * TABLE_BLOCK_STEPS, self.times.size)
-        sz = (self._sig * self._z[start:stop])[..., None, None]
-        nu, *rows = _grid.field_coefficients(self._p, np.exp(sz), sz,
+        # the old block goes first, so that two are never held at once
+        self._block = None
+        sz = (self._sig_rows * self._z[start:stop, self._path_rows])[..., None]
+        nu, *coef = _grid.field_coefficients(self._p, np.exp(sz), sz,
                                              self._f_grid)
-        self._block = [(nu, *row) for row in zip(*rows)]
+        self._block = [(nu, *c) for c in zip(*coef)]
         self._start, self._stop = start, stop
 
     def __call__(self, t: float, U: np.ndarray) -> np.ndarray:
-        i = self._row
+        i = self._now
         if t != self.times[i]:
             i += 1
             if i == self.times.size or t != self.times[i]:
@@ -203,7 +214,7 @@ class _NoiseTable:
                                  f"table after {self.times[i - 1]!r}")
             if i == self._stop:
                 self._fill(i)
-            self._row = i
+            self._now = i
         return _grid.field(self._block[i - self._start], U, self._mode)
 
 
@@ -212,13 +223,24 @@ class PullbackBatch:
     """Time-0 clouds of a pullback batch: points[i, j] is the cloud for
     sigma i along realization j, and finite[i, j] says whether it stayed
     finite.  paths[j] is realization j's OU path, shared by every sigma.
-    The clouds took n_steps RK4 steps of dt = pullback_T / n_steps."""
+    The clouds took n_steps RK4 steps of dt = pullback_T / n_steps, on
+    rows[0] distinct rows at the start and rows[1] at the end."""
 
     points: np.ndarray
     finite: np.ndarray
     paths: tuple
     dt: float
     n_steps: int
+    rows: tuple
+
+
+def _collapsed(U: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """Whether each cloud is one point: cloud c has its points in the rows
+    where[c] of the stack U, and it is one point when every such row has
+    the bits of the first (so -0.0 is not 0.0) and that row is finite."""
+    bits = U.view(np.int64)[where]
+    return ((bits == bits[:, :1]).all(axis=(1, 2))
+            & np.isfinite(U[where[:, 0]]).all(axis=1))
 
 
 def pullback_batch(p: Params, noise: NoiseConfig, sigmas, realizations,
@@ -231,14 +253,24 @@ def pullback_batch(p: Params, noise: NoiseConfig, sigmas, realizations,
     count is not read.  Each realization's OU path is generated
     once from its derived seed, over [-max(pullback_T, path_horizon), 0], so
     the same path serves every sigma (and, with a long enough horizon, the
-    absorbing radius).  All len(sigmas)*len(realizations) copies of the
-    cloud are integrated as one stack with the classical fourth-order
-    one-step method, in n_steps = round(pullback_T / dt) equal steps.  The
-    noise is tabulated once per stage time: z by linear interpolation on
-    each path, then the field coefficients of every copy, so the stage loop
-    only applies them.  Each copy's result is the one a plain RK4 loop
+    absorbing radius).  The clouds are integrated with the classical
+    fourth-order one-step method, in n_steps = round(pullback_T / dt) equal
+    steps, as one stack that holds each distinct row once:
+
+    * every sigma = 0 pair has the same field coefficients, bit for bit,
+      whatever z is (sigma*z is +-0.0, exp(+-0.0) is 1.0), and so has every
+      pair with equal sigma and realization index, so each such group is
+      one cloud;
+    * the stack runs TABLE_BLOCK_STEPS steps at a time, and after each
+      segment a cloud whose points are all bitwise equal to its first,
+      compared as int64 (so -0.0 is not 0.0) and finite, goes on as that
+      one row: each row's RK4 step depends on that row alone, bit for bit.
+
+    The noise is tabulated once per stage time: z by linear interpolation
+    on each path, then the field coefficients of every row, so the stage
+    loop only applies them.  Each pair's cloud is the one a plain RK4 loop
     calling ``random_field`` at z(t) in every stage would give, bit for
-    bit.  Copies that overflow are flagged in ``finite``, not raised.
+    bit.  Pairs that overflow are flagged in ``finite``, not raised.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -248,17 +280,52 @@ def pullback_batch(p: Params, noise: NoiseConfig, sigmas, realizations,
                          f"the step dt={dt}")
     dt = noise.pullback_T / n_steps
     horizon = max(noise.pullback_T, path_horizon)
+    realizations = list(realizations)
     paths = tuple(ou_path(realization_seed(noise.master_seed, k), -horizon,
                           0.0, noise.h_path) for k in realizations)
+    # one cloud per distinct (sigma, realization) pair, integrated at the
+    # sigma and path of its first pair; cloud_of[pair] is each pair's cloud
+    clouds, cloud_of, firsts = {}, [], []
+    for i, sigma in enumerate(sigmas):
+        for j, k in enumerate(realizations):
+            key = 0.0 if sigma == 0 else (float(sigma), k)
+            if key not in clouds:
+                clouds[key] = len(firsts)
+                firsts.append((i, j))
+            cloud_of.append(clouds[key])
+    cloud_sig, cloud_path = np.array(firsts, dtype=np.intp).reshape(-1, 2).T
+    n_points = initial_cloud.points.shape[0]
+    # row where[c, q] of the stack U holds point q of cloud c, and row r
+    # belongs to cloud row_cloud[r]
+    where = np.arange(cloud_sig.size * n_points).reshape(-1, n_points)
+    row_cloud = np.repeat(np.arange(cloud_sig.size), n_points)
+    U = np.tile(initial_cloud.points, (cloud_sig.size, 1))
+    rows_start = U.shape[0]
     mode = initial_cloud.space
     f_grid = forcing_grid(p, initial_cloud.half_width, mode)
     rhs = _NoiseTable(p, sigmas, paths, -noise.pullback_T, dt, n_steps,
                       f_grid, mode)
-    U0 = np.broadcast_to(initial_cloud.points,
-                         (len(sigmas), len(paths)) + initial_cloud.points.shape)
-    pts = _grid.rk4(rhs, U0.copy(), -noise.pullback_T, dt, n_steps)
+    rhs.select(cloud_sig[row_cloud], cloud_path[row_cloud])
+    for start in range(0, n_steps, TABLE_BLOCK_STEPS):
+        steps = min(TABLE_BLOCK_STEPS, n_steps - start)
+        U = _grid.rk4(rhs, U, rhs.times[2 * start], dt, steps)
+        if start + steps == n_steps:
+            break
+        # a cloud of several rows that is now one point goes on as its
+        # first row
+        open_ = np.flatnonzero(where[:, -1] != where[:, 0])
+        met = _collapsed(U, where[open_])
+        if met.any():
+            where[open_[met]] = where[open_[met], :1]
+            keep = np.zeros(U.shape[0], dtype=bool)
+            keep[where] = True
+            where = (np.cumsum(keep) - 1)[where]
+            U, row_cloud = U[keep], row_cloud[keep]
+            rhs.select(cloud_sig[row_cloud], cloud_path[row_cloud])
+    pts = U[where[cloud_of]].reshape((len(sigmas), len(paths))
+                                     + initial_cloud.points.shape)
     return PullbackBatch(pts, np.isfinite(pts).all(axis=(-2, -1)), paths, dt,
-                         n_steps)
+                         n_steps, (rows_start, U.shape[0]))
 
 
 def pullback_sample(p: Params, noise: NoiseConfig, sigma: float,

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhlattice import (
     AttractorConfig,
@@ -638,6 +640,32 @@ class TestVerify:
         assert main(["--out", str(tmp_path), "verify"]) == 1
         written = json.loads((tmp_path / "verify_report.json").read_text())
         assert written["checks"][-1] == check
+
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(f_scale=st.floats(0.0, 16.0), lam_over=st.floats(0.05, 40.0),
+           eps_frac=st.floats(1e-9, 1.0), u_frac=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_the_energy_bound_keeps_the_ball(self, f_scale, lam_over,
+                                             eps_frac, u_frac, seed):
+        """The implication that lets verify drop a separate ball check: for
+        a start row with ||u|| <= r* and eps <= eps*, every ||v|| whose
+        square meets the energy bound is at most r* + 10*fp_tol."""
+        p = default_params(f_scale=f_scale, lam=6.5625 + lam_over)
+        dc = derived_constants(p)
+        eps = eps_frac * dc.eps_star
+        fp_tol = StepConfig(eps=eps).fp_tol
+        u = np.random.default_rng(seed).standard_normal((1, 65))
+        u *= u_frac * dc.r_star / np.linalg.norm(u)
+        bound = experiments._energy_bound(p, dc, eps, u, fp_tol)[0]
+        # the largest norm whose square meets the bound
+        v = math.sqrt(bound)
+        while np.nextafter(v, math.inf) ** 2 <= bound:
+            v = np.nextafter(v, math.inf)
+        while v ** 2 > bound:
+            v = np.nextafter(v, 0.0)
+        assert v <= dc.r_star + 10 * fp_tol
 
 
 class TestCli:

@@ -32,6 +32,7 @@ from bhlattice.stochastic import (
     ou_innovation_std,
     realization_seed,
 )
+from full_stack_pullback import full_stack_pullback
 
 
 @pytest.fixture
@@ -166,6 +167,25 @@ class TestRandomField:
             a = random_field(params, 0.0, 1.7, u)
             b = vector_field(params, u)
             assert (a - b).norm() <= 1e-14
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(z=st.floats(allow_nan=False, allow_infinity=False),
+           sigma=st.sampled_from([0.0, -0.0]))
+    def test_sigma_zero_coefficients_have_the_same_bits_for_either_sign_of_z(
+            self, z, sigma):
+        """sigma*z is +-0.0, exp(+-0.0) is 1.0, c0 + (+-0.0) is c0 and f/1.0
+        is f: at sigma = 0 every noise value gives the deterministic
+        coefficients, so the sigma = 0 pairs of a pullback are one cloud."""
+        p = Params(nu=1.0, alpha=1.0, beta=1.0, gamma=0.5, lam=8.0,
+                   f=LatticeWindow.basis(0, 1.4375))
+        f = forcing_grid(p, 3, "truncated")
+        sz = sigma * np.array([[z], [-z]])
+        noisy = _grid.field_coefficients(p, np.exp(sz), sz, f)
+        plain = _grid.field_coefficients(p, 1.0, 0.0, f)
+        for a, b in zip(noisy, plain):
+            assert np.asarray(a).tobytes() == \
+                np.broadcast_to(b, np.shape(a)).tobytes()
 
     def test_zero_state_gives_scaled_forcing(self, params):
         z = 0.6
@@ -321,10 +341,11 @@ class TestPullbackBatch:
                                     init, self.T)
             assert batch.points[1, k].tobytes() == plain.tobytes()
 
-    def test_each_step_is_four_field_calls_on_the_whole_stack(
+    def test_each_step_is_four_field_calls_on_the_distinct_rows(
             self, params, monkeypatch):
         """Every stage goes through _grid.field, the package's one field
-        kernel, once for all (sigma, realization) copies."""
+        kernel, once for the stack of distinct rows: the first call sees
+        each distinct cloud's points once, and the stack never grows."""
         shapes, real_field = [], _grid.field
 
         def counting_field(*args):
@@ -333,11 +354,74 @@ class TestPullbackBatch:
 
         monkeypatch.setattr(_grid, "field", counting_field)
         init = sample_ball(1.5, "truncated", 4, 6, seed=0)
-        batch = pullback_batch(params, self.noise(), (0.4, 0.0), range(3),
-                               self.DT, init)
-        assert batch.n_steps == 200
+        noise = NoiseConfig(h_path=0.01, pullback_T=self.T_COLLAPSE,
+                            master_seed=2024)
+        # three clouds at sigma = 0.4, one shared by the three at sigma = 0
+        batch = pullback_batch(params, noise, (0.4, 0.0), range(3), 0.05,
+                               init)
+        assert batch.n_steps == 300
         assert len(shapes) == 4 * batch.n_steps
-        assert set(shapes) == {(2, 3) + init.points.shape}
+        assert shapes[0] == (4 * 6, init.points.shape[1])
+        assert {n for _, n in shapes} == {init.points.shape[1]}
+        rows = [r for r, _ in shapes]
+        assert all(a >= b for a, b in zip(rows, rows[1:]))
+        # the sigma = 0.4 clouds collapse, the sigma = 0 one does not
+        assert batch.rows == (rows[0], rows[-1]) == (24, 3 + 6)
+
+    # a horizon at which the points of every sigma > 0 cloud meet bit for
+    # bit, with 300 steps of 0.05
+    T_COLLAPSE = 15.0
+
+    @pytest.mark.parametrize("n_points", range(1, 7))
+    def test_equals_the_full_stack_bit_for_bit(self, params, n_points):
+        """Sharing sigma = 0 and repeated (sigma, realization) pairs, and
+        going on with one row of a collapsed cloud, leave every point as
+        the whole stack would give it."""
+        init = sample_ball(1.5, "truncated", 4, n_points, seed=n_points)
+        noise = NoiseConfig(h_path=0.01, pullback_T=self.T_COLLAPSE,
+                            master_seed=2024)
+        # sigma = 0 twice, sigma = 0.4 twice, realization 0 twice: five
+        # distinct clouds of the 5 * 3 pairs
+        sigmas, realizations = (0.4, 0.0, 0.1, 0.4, 0.0), (0, 1, 0)
+        batch = pullback_batch(params, noise, sigmas, realizations, 0.05,
+                               init, path_horizon=20.0)
+        whole = full_stack_pullback(params, noise, sigmas, realizations,
+                                    0.05, init, path_horizon=20.0)
+        assert batch.finite.all()
+        assert batch.points.tobytes() == whole.tobytes()
+        assert batch.rows[0] == 5 * n_points
+        if n_points > 1:
+            # the four sigma > 0 clouds went on as one row each, and the
+            # sigma = 0 cloud as one row or all of its points
+            assert batch.rows[1] in (5, 4 + n_points)
+
+    def test_an_overflowing_sigma_stays_flagged(self, params):
+        init = sample_ball(1.5, "truncated", 4, 4, seed=0)
+        noise = NoiseConfig(h_path=0.01, pullback_T=self.T_COLLAPSE,
+                            master_seed=2024)
+        sigmas = (40.0, 0.1, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = pullback_batch(params, noise, sigmas, range(3), 0.05,
+                                   init)
+            whole = full_stack_pullback(params, noise, sigmas, range(3),
+                                        0.05, init)
+        assert not batch.finite[0].any()
+        assert batch.finite[1:].all()
+        assert batch.points.tobytes() == whole.tobytes()
+        # the overflowed clouds are never merged, the sigma = 0.1 ones are
+        assert batch.rows == (7 * 4, 3 * 4 + 3 + 4)
+
+    def test_a_cloud_is_one_point_only_when_its_rows_have_equal_bits(self):
+        """Two rows that differ only in the sign of a zero are two points,
+        and so are two rows of equal NaN bits or of equal infinities."""
+        U = np.array([[1.0, 0.0], [1.0, -0.0],      # signed zeros
+                      [np.nan, 2.0], [np.nan, 2.0],  # equal NaN bits
+                      [np.inf, 2.0], [np.inf, 2.0],
+                      [3.0, 4.0], [3.0, 4.0], [3.0, 4.0],
+                      [3.0, 4.0], [3.0, 4.0 + 2**-50], [3.0, 4.0]])
+        where = np.arange(12).reshape(-1, 2)
+        assert stochastic._collapsed(U, where).tolist() == \
+            [False, False, False, True, True, False]
 
     def test_horizon_shorter_than_half_a_step_is_a_value_error(self, params):
         noise = NoiseConfig(h_path=0.001, pullback_T=0.004)
@@ -396,9 +480,12 @@ class TestPullbackBatch:
 class TestNoiseTable:
     @staticmethod
     def table(params, path, t0, dt, n_steps):
+        # row 0 at sigma = 0.1, row 1 at sigma = 0, both along the path
         f = forcing_grid(params, 3, "truncated")
-        return _NoiseTable(params, (0.1, 0.0), (path,), t0, dt, n_steps, f,
-                           "truncated")
+        table = _NoiseTable(params, (0.1, 0.0), (path,), t0, dt, n_steps, f,
+                            "truncated")
+        table.select([0, 1], [0, 0])
+        return table
 
     @pytest.mark.parametrize("t_min, t_max", [(-5.0, -3.0), (-1.5, 0.0)])
     def test_stage_times_off_the_path_are_refused(self, params, t_min, t_max):
@@ -417,7 +504,7 @@ class TestNoiseTable:
     def test_a_call_off_its_stage_times_is_refused(self, params):
         path = ou_path(1, -1.0, 0.0, 0.01)
         table = self.table(params, path, -1.0, 0.01, 100)
-        U = np.zeros((2, 1, 1, 7))
+        U = np.zeros((2, 7))
         table(-1.0, U)
         table(-0.995, U)
         with pytest.raises(ValueError, match="not in the noise table"):
@@ -425,15 +512,20 @@ class TestNoiseTable:
 
     def test_rows_span_blocks(self, params):
         # more steps than one block: the rows past the first block are the
-        # fields at their own stage times
+        # fields at their own stage times, and rows chosen again part way
+        # take effect from the current stage time
         path = ou_path(2, -4.0, 0.0, 0.01)
         n_steps = 2 * stochastic.TABLE_BLOCK_STEPS + 7
         table = self.table(params, path, -4.0, 4.0 / n_steps, n_steps)
         U = sample_ball(1.0, "truncated", 3, 2, seed=1).points
         f = forcing_grid(params, 3, "truncated")
-        for t in table.times.tolist():
-            got = table(t, np.broadcast_to(U, (2, 1) + U.shape))
-            for i, sigma in enumerate((0.1, 0.0)):
-                one = _grid.random_field(params, sigma, path.at(t), U, f,
+        for j, t in enumerate(table.times.tolist()):
+            if j == stochastic.TABLE_BLOCK_STEPS + 1:
+                table.select([1, 0], [0, 0])
+            got = table(t, U)
+            sigmas = (0.1, 0.0) if j <= stochastic.TABLE_BLOCK_STEPS \
+                else (0.0, 0.1)
+            for r, sigma in enumerate(sigmas):
+                one = _grid.random_field(params, sigma, path.at(t), U[r], f,
                                          "truncated")
-                assert got[i, 0].tobytes() == one.tobytes()
+                assert got[r].tobytes() == one.tobytes()
