@@ -175,15 +175,6 @@ class LatticeWindow:
     def __neg__(self) -> "LatticeWindow":
         return LatticeWindow(self.offset, -self.values)
 
-    def hadamard(self, other: "LatticeWindow") -> "LatticeWindow":
-        """Componentwise product; the support is the intersection."""
-        lo, a, b = self._aligned(other)
-        return LatticeWindow(lo, a * b)
-
-    def dot(self, other: "LatticeWindow") -> float:
-        _, a, b = self._aligned(other)
-        return float(a @ b)
-
     def norm(self) -> float:
         """l^2 norm of the underlying sequence."""
         a = self.values

@@ -156,66 +156,55 @@ def random_field(p: Params, sigma: float, z_t: float,
         p, sigma, z_t, G, f, "window"))
 
 
-# RK4 steps per segment of a pullback and per block of its noise table:
-# 16 steps of coefficients for 56 rows of 33 sites take about 0.5 MB.  A
-# cloud that has become one point is dropped at a segment's end
-TABLE_BLOCK_STEPS = 16
+# RK4 steps per segment of a pullback, after which equal rows merge: the
+# noise table of 16 steps for 56 rows of 33 sites takes about 0.5 MB
+SEGMENT_STEPS = 16
 
 
-class _NoiseTable:
-    """The random field of each row of a pullback stack at the RK4 stage
-    times ``_grid.stage_times(t0, dt, n_steps)``, as a right-hand side
-    f(t, U) for ``_grid.rk4`` on an (N, n) stack.
+def _stage_noise(paths, times: np.ndarray) -> np.ndarray:
+    """z of every path at every stage time, as a (times, paths) array, by
+    linear interpolation; ValueError unless each path covers the times."""
+    for path in paths:
+        _check_horizon(path.grid, times[0], times[-1])
+    return np.stack([np.interp(times, path.grid, path.z) for path in paths],
+                    axis=1)
 
-    z is read off each path at every stage time once.  ``select`` gives
-    each row's noise intensity and path, and the field coefficients of
-    those rows are built from them TABLE_BLOCK_STEPS steps at a time; each
-    call applies the coefficients of its stage time, which must be the
-    time of the last call or the next one."""
 
-    def __init__(self, p: Params, sigmas, paths, t0: float, dt: float,
-                 n_steps: int, f_grid: np.ndarray, mode: str):
-        self.times = _grid.stage_times(t0, dt, n_steps)
-        for path in paths:
-            _check_horizon(path.grid, self.times[0], self.times[-1])
-        # z at every stage time, (times, R)
-        self._z = np.stack([np.interp(self.times, path.grid, path.z)
-                            for path in paths], axis=1)
-        self._sig = np.asarray(sigmas, dtype=float)
-        self._p, self._f_grid, self._mode = p, f_grid, mode
-        # the index of the last call's stage time
-        self._now = 0
+def _segment_field(p: Params, sigma, path, z, times, f_grid, mode):
+    """The random field of each row of a pullback stack over one segment,
+    as a right-hand side f(t, U) for ``_grid.rk4``: row r has noise
+    intensity sigma[r] along path path[r], and z[:, k] is path k at the
+    segment's stage times ``times``.  The coefficients of every row at
+    every stage time are built here, once, from sigma*z and exp(sigma*z)
+    with a length-1 state axis; a call at any other time is refused."""
+    sz = (sigma * z[:, path])[..., None]
+    nu, *coef = _grid.field_coefficients(p, np.exp(sz), sz, f_grid)
+    table = dict(zip(times.tolist(), [(nu, *c) for c in zip(*coef)]))
 
-    def select(self, sigma_index, path_index):
-        """From the current stage time on, row r of the stack has noise
-        intensity sigmas[sigma_index[r]] along paths[path_index[r]]."""
-        self._sig_rows = self._sig[sigma_index]
-        self._path_rows = np.asarray(path_index)
-        self._fill(self._now)
+    def rhs(t: float, U: np.ndarray) -> np.ndarray:
+        c = table.get(t)
+        if c is None:
+            raise ValueError(f"stage time {t!r} is not in the noise table")
+        return _grid.field(c, U, mode)
 
-    def _fill(self, start: int):
-        # the coefficients of the next block, one per row and stage time,
-        # from sigma*z and exp(sigma*z) with a length-1 state axis
-        stop = min(start + 2 * TABLE_BLOCK_STEPS, self.times.size)
-        # the old block goes first, so that two are never held at once
-        self._block = None
-        sz = (self._sig_rows * self._z[start:stop, self._path_rows])[..., None]
-        nu, *coef = _grid.field_coefficients(self._p, np.exp(sz), sz,
-                                             self._f_grid)
-        self._block = [(nu, *c) for c in zip(*coef)]
-        self._start, self._stop = start, stop
+    return rhs
 
-    def __call__(self, t: float, U: np.ndarray) -> np.ndarray:
-        i = self._now
-        if t != self.times[i]:
-            i += 1
-            if i == self.times.size or t != self.times[i]:
-                raise ValueError(f"stage time {t!r} is not in the noise "
-                                 f"table after {self.times[i - 1]!r}")
-            if i == self._stop:
-                self._fill(i)
-            self._now = i
-        return _grid.field(self._block[i - self._start], U, self._mode)
+
+def _distinct(sigma, path, U: np.ndarray):
+    """Group the rows of a pullback stack that integrate alike: equal
+    sigma, equal path and equal bits of U as int64 (-0.0 is not 0.0); a
+    row that is not finite is a group of its own.  Returns keep, the first
+    row of each group in row order, and group, each row's index into keep."""
+    n = U.shape[0]
+    key = np.empty((n, U.shape[1] + 2), dtype=np.int64)
+    key[:, 0] = np.asarray(sigma, dtype=float).view(np.int64)
+    key[:, 1] = np.where(np.isfinite(U).all(axis=1), path, -1 - np.arange(n))
+    key[:, 2:] = U.view(np.int64)
+    # one void scalar per row, much cheaper to sort than np.unique(axis=0)
+    rows = key.view(np.dtype((np.void, key.strides[0]))).ravel()
+    _, first, group = np.unique(rows, return_index=True, return_inverse=True)
+    keep = np.sort(first)
+    return keep, np.searchsorted(keep, first[group])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -234,15 +223,6 @@ class PullbackBatch:
     rows: tuple
 
 
-def _collapsed(U: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """Whether each cloud is one point: cloud c has its points in the rows
-    where[c] of the stack U, and it is one point when every such row has
-    the bits of the first (so -0.0 is not 0.0) and that row is finite."""
-    bits = U.view(np.int64)[where]
-    return ((bits == bits[:, :1]).all(axis=(1, 2))
-            & np.isfinite(U[where[:, 0]]).all(axis=1))
-
-
 def pullback_batch(p: Params, noise: NoiseConfig, sigmas, realizations,
                    dt: float, initial_cloud: PointCloud,
                    path_horizon: float = 0.0) -> PullbackBatch:
@@ -253,24 +233,17 @@ def pullback_batch(p: Params, noise: NoiseConfig, sigmas, realizations,
     count is not read.  Each realization's OU path is generated
     once from its derived seed, over [-max(pullback_T, path_horizon), 0], so
     the same path serves every sigma (and, with a long enough horizon, the
-    absorbing radius).  The clouds are integrated with the classical
-    fourth-order one-step method, in n_steps = round(pullback_T / dt) equal
-    steps, as one stack that holds each distinct row once:
+    absorbing radius).  The clouds take n_steps = round(pullback_T / dt)
+    equal steps of the classical fourth-order one-step method.
 
-    * every sigma = 0 pair has the same field coefficients, bit for bit,
-      whatever z is (sigma*z is +-0.0, exp(+-0.0) is 1.0), and so has every
-      pair with equal sigma and realization index, so each such group is
-      one cloud;
-    * the stack runs TABLE_BLOCK_STEPS steps at a time, and after each
-      segment a cloud whose points are all bitwise equal to its first,
-      compared as int64 (so -0.0 is not 0.0) and finite, goes on as that
-      one row: each row's RK4 step depends on that row alone, bit for bit.
-
-    The noise is tabulated once per stage time: z by linear interpolation
-    on each path, then the field coefficients of every row, so the stage
-    loop only applies them.  Each pair's cloud is the one a plain RK4 loop
-    calling ``random_field`` at z(t) in every stage would give, bit for
-    bit.  Pairs that overflow are flagged in ``finite``, not raised.
+    Each row's RK4 step depends on that row and its coefficients alone,
+    bit for bit, so rows with equal sigma, path and bits (``_distinct``)
+    are integrated once: they merge before the first step and after each
+    segment of SEGMENT_STEPS steps.  Every sigma = 0 row reads path 0, as
+    sigma*z is +-0.0 and exp(+-0.0) is 1.0 whatever z is.  Each pair's
+    cloud is the one a plain RK4 loop calling ``random_field`` at z(t) in
+    every stage would give, bit for bit.  Pairs that overflow are flagged
+    in ``finite``, not raised.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -283,47 +256,32 @@ def pullback_batch(p: Params, noise: NoiseConfig, sigmas, realizations,
     realizations = list(realizations)
     paths = tuple(ou_path(realization_seed(noise.master_seed, k), -horizon,
                           0.0, noise.h_path) for k in realizations)
-    # one cloud per distinct (sigma, realization) pair, integrated at the
-    # sigma and path of its first pair; cloud_of[pair] is each pair's cloud
-    clouds, cloud_of, firsts = {}, [], []
-    for i, sigma in enumerate(sigmas):
-        for j, k in enumerate(realizations):
-            key = 0.0 if sigma == 0 else (float(sigma), k)
-            if key not in clouds:
-                clouds[key] = len(firsts)
-                firsts.append((i, j))
-            cloud_of.append(clouds[key])
-    cloud_sig, cloud_path = np.array(firsts, dtype=np.intp).reshape(-1, 2).T
-    n_points = initial_cloud.points.shape[0]
-    # row where[c, q] of the stack U holds point q of cloud c, and row r
-    # belongs to cloud row_cloud[r]
-    where = np.arange(cloud_sig.size * n_points).reshape(-1, n_points)
-    row_cloud = np.repeat(np.arange(cloud_sig.size), n_points)
-    U = np.tile(initial_cloud.points, (cloud_sig.size, 1))
+    times = _grid.stage_times(-noise.pullback_T, dt, n_steps)
+    z = _stage_noise(paths, times)
+    # the full stack of (sigma, realization, point) rows, each along the
+    # first path of its realization, and each sigma = 0 row at sigma +0.0
+    # (-0.0 + 0.0 is +0.0) along path 0; row r of it is row of[r] of U
+    shape = (len(sigmas), len(paths)) + initial_cloud.points.shape
+    sig = np.repeat(np.asarray(sigmas, dtype=float) + 0.0, shape[1] * shape[2])
+    path = np.repeat([realizations.index(k) for k in realizations], shape[2])
+    path = np.where(sig == 0, 0, np.tile(path, shape[0]))
+    U = np.tile(initial_cloud.points, (shape[0] * shape[1], 1))
+    keep, of = _distinct(sig, path, U)
+    U, sig, path = U[keep], sig[keep], path[keep]
     rows_start = U.shape[0]
     mode = initial_cloud.space
     f_grid = forcing_grid(p, initial_cloud.half_width, mode)
-    rhs = _NoiseTable(p, sigmas, paths, -noise.pullback_T, dt, n_steps,
-                      f_grid, mode)
-    rhs.select(cloud_sig[row_cloud], cloud_path[row_cloud])
-    for start in range(0, n_steps, TABLE_BLOCK_STEPS):
-        steps = min(TABLE_BLOCK_STEPS, n_steps - start)
-        U = _grid.rk4(rhs, U, rhs.times[2 * start], dt, steps)
-        if start + steps == n_steps:
-            break
-        # a cloud of several rows that is now one point goes on as its
-        # first row
-        open_ = np.flatnonzero(where[:, -1] != where[:, 0])
-        met = _collapsed(U, where[open_])
-        if met.any():
-            where[open_[met]] = where[open_[met], :1]
-            keep = np.zeros(U.shape[0], dtype=bool)
-            keep[where] = True
-            where = (np.cumsum(keep) - 1)[where]
-            U, row_cloud = U[keep], row_cloud[keep]
-            rhs.select(cloud_sig[row_cloud], cloud_path[row_cloud])
-    pts = U[where[cloud_of]].reshape((len(sigmas), len(paths))
-                                     + initial_cloud.points.shape)
+    for start in range(0, n_steps, SEGMENT_STEPS):
+        steps = min(SEGMENT_STEPS, n_steps - start)
+        seg = slice(2 * start, 2 * (start + steps) + 1)
+        # the old table goes first, so that two are never held at once
+        rhs = None
+        rhs = _segment_field(p, sig, path, z[seg], times[seg], f_grid, mode)
+        U = _grid.rk4(rhs, U, times[2 * start], dt, steps)
+        if start + steps < n_steps:
+            keep, group = _distinct(sig, path, U)
+            U, sig, path, of = U[keep], sig[keep], path[keep], group[of]
+    pts = U[of].reshape(shape)
     return PullbackBatch(pts, np.isfinite(pts).all(axis=(-2, -1)), paths, dt,
                          n_steps, (rows_start, U.shape[0]))
 

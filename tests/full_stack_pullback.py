@@ -1,8 +1,8 @@
 """The pullback of every (sigma, realization) pair as one full (S, R, P, n)
-stack: every point of every pair, σ = 0 and collapsed clouds included, runs
-all n_steps RK4 steps in a single ``_grid.rk4`` call, and each stage builds
-the field coefficients of all pairs from z(t) on the spot.  No row is
-shared or dropped, so the tests use this as the oracle of
+stack: every point of every pair, σ = 0 and rows that become equal
+included, runs all n_steps RK4 steps in a single ``_grid.rk4`` call, and
+each stage builds the field coefficients of all pairs from z(t) on the
+spot.  No row is shared or dropped, so the tests use this as the oracle of
 ``stochastic.pullback_batch``, which integrates each distinct row once."""
 
 import numpy as np

@@ -13,6 +13,7 @@ from bhlattice import (
     NonFinite,
     OUPath,
     Params,
+    PointCloud,
     absorbing_radius,
     ergodic_average,
     ou_path,
@@ -24,10 +25,12 @@ from bhlattice import (
     sample_ball,
     vector_field,
 )
-from bhlattice import _grid, stochastic
+from bhlattice import _grid
 from bhlattice.stepping import forcing_grid
 from bhlattice.stochastic import (
-    _NoiseTable,
+    _distinct,
+    _segment_field,
+    _stage_noise,
     ou_decay,
     ou_innovation_std,
     realization_seed,
@@ -365,8 +368,13 @@ class TestPullbackBatch:
         assert {n for _, n in shapes} == {init.points.shape[1]}
         rows = [r for r, _ in shapes]
         assert all(a >= b for a, b in zip(rows, rows[1:]))
-        # the sigma = 0.4 clouds collapse, the sigma = 0 one does not
-        assert batch.rows == (rows[0], rows[-1]) == (24, 3 + 6)
+        # each sigma = 0.4 cloud goes on as one row, and the six rows of
+        # the sigma = 0 cloud as two, once their bits became equal
+        assert batch.rows == (rows[0], rows[-1]) == (24, 3 + 2)
+        monkeypatch.undo()
+        whole = full_stack_pullback(params, noise, (0.4, 0.0), range(3),
+                                    0.05, init)
+        assert batch.points.tobytes() == whole.tobytes()
 
     # a horizon at which the points of every sigma > 0 cloud meet bit for
     # bit, with 300 steps of 0.05
@@ -375,8 +383,8 @@ class TestPullbackBatch:
     @pytest.mark.parametrize("n_points", range(1, 7))
     def test_equals_the_full_stack_bit_for_bit(self, params, n_points):
         """Sharing sigma = 0 and repeated (sigma, realization) pairs, and
-        going on with one row of a collapsed cloud, leave every point as
-        the whole stack would give it."""
+        going on with one row of rows that became equal, leave every point
+        as the whole stack would give it."""
         init = sample_ball(1.5, "truncated", 4, n_points, seed=n_points)
         noise = NoiseConfig(h_path=0.01, pullback_T=self.T_COLLAPSE,
                             master_seed=2024)
@@ -390,10 +398,28 @@ class TestPullbackBatch:
         assert batch.finite.all()
         assert batch.points.tobytes() == whole.tobytes()
         assert batch.rows[0] == 5 * n_points
-        if n_points > 1:
-            # the four sigma > 0 clouds went on as one row each, and the
-            # sigma = 0 cloud as one row or all of its points
-            assert batch.rows[1] in (5, 4 + n_points)
+        # the four sigma > 0 clouds went on as one row each, and the
+        # sigma = 0 cloud as one row or two
+        assert batch.rows[1] == {1: 5, 2: 6, 3: 5, 4: 6, 5: 6, 6: 6}[n_points]
+
+    def test_equal_start_points_run_once_per_cloud(self, params):
+        """A start cloud with repeated points starts as its distinct points
+        once per (sigma, path) key, and every point is still the whole
+        stack's."""
+        base = sample_ball(1.5, "truncated", 4, 3, seed=5)
+        pts = base.points[[0, 1, 0, 2, 1, 0]]
+        init = PointCloud(base.space, base.half_width, pts)
+        noise = NoiseConfig(h_path=0.01, pullback_T=2.0, master_seed=2024)
+        sigmas, realizations = (0.4, 0.0, 0.1), (0, 1)
+        batch = pullback_batch(params, noise, sigmas, realizations, 0.05,
+                               init)
+        whole = full_stack_pullback(params, noise, sigmas, realizations,
+                                    0.05, init)
+        assert batch.finite.all()
+        assert batch.points.tobytes() == whole.tobytes()
+        # keys (0.4, 0), (0.4, 1), (0.1, 0), (0.1, 1) and (0, 0), three
+        # distinct points each
+        assert batch.rows[0] == 5 * 3
 
     def test_an_overflowing_sigma_stays_flagged(self, params):
         init = sample_ball(1.5, "truncated", 4, 4, seed=0)
@@ -408,20 +434,26 @@ class TestPullbackBatch:
         assert not batch.finite[0].any()
         assert batch.finite[1:].all()
         assert batch.points.tobytes() == whole.tobytes()
-        # the overflowed clouds are never merged, the sigma = 0.1 ones are
-        assert batch.rows == (7 * 4, 3 * 4 + 3 + 4)
+        # the 12 overflowed rows are never merged, each sigma = 0.1 cloud
+        # goes on as one row, and the sigma = 0 cloud as two
+        assert batch.rows == (7 * 4, 3 * 4 + 3 + 2)
 
-    def test_a_cloud_is_one_point_only_when_its_rows_have_equal_bits(self):
-        """Two rows that differ only in the sign of a zero are two points,
-        and so are two rows of equal NaN bits or of equal infinities."""
+    def test_rows_merge_only_with_equal_sigma_path_and_finite_bits(self):
+        """Two rows that differ only in the sign of a zero are two rows,
+        and so are two rows of equal NaN bits or of equal infinities, two
+        rows one ulp apart, and equal rows at another sigma or path."""
         U = np.array([[1.0, 0.0], [1.0, -0.0],      # signed zeros
                       [np.nan, 2.0], [np.nan, 2.0],  # equal NaN bits
                       [np.inf, 2.0], [np.inf, 2.0],
                       [3.0, 4.0], [3.0, 4.0], [3.0, 4.0],
-                      [3.0, 4.0], [3.0, 4.0 + 2**-50], [3.0, 4.0]])
-        where = np.arange(12).reshape(-1, 2)
-        assert stochastic._collapsed(U, where).tolist() == \
-            [False, False, False, True, True, False]
+                      [3.0, 4.0 + 2**-50],           # one ulp apart
+                      [3.0, 4.0], [3.0, 4.0], [3.0, 4.0]])
+        sigma = np.array([0.1] * 11 + [0.2, 0.1])
+        path = np.array([0] * 11 + [0, 1])
+        keep, group = _distinct(sigma, path, U)
+        assert keep.tolist() == [0, 1, 2, 3, 4, 5, 6, 9, 11, 12]
+        assert keep[group].tolist() == [0, 1, 2, 3, 4, 5, 6, 6, 6, 9, 6, 11,
+                                        12]
 
     def test_horizon_shorter_than_half_a_step_is_a_value_error(self, params):
         noise = NoiseConfig(h_path=0.001, pullback_T=0.004)
@@ -481,11 +513,12 @@ class TestNoiseTable:
     @staticmethod
     def table(params, path, t0, dt, n_steps):
         # row 0 at sigma = 0.1, row 1 at sigma = 0, both along the path
+        times = _grid.stage_times(t0, dt, n_steps)
         f = forcing_grid(params, 3, "truncated")
-        table = _NoiseTable(params, (0.1, 0.0), (path,), t0, dt, n_steps, f,
-                            "truncated")
-        table.select([0, 1], [0, 0])
-        return table
+        rhs = _segment_field(params, np.array([0.1, 0.0]), np.array([0, 0]),
+                             _stage_noise((path,), times), times, f,
+                             "truncated")
+        return times, rhs
 
     @pytest.mark.parametrize("t_min, t_max", [(-5.0, -3.0), (-1.5, 0.0)])
     def test_stage_times_off_the_path_are_refused(self, params, t_min, t_max):
@@ -497,35 +530,31 @@ class TestNoiseTable:
 
     def test_stage_times_on_the_end_nodes_are_accepted(self, params):
         path = ou_path(1, -1.0, 0.0, 0.25)
-        table = self.table(params, path, -1.0, 0.25, 4)
-        assert table.times[0] == path.grid[0]
-        assert table.times[-1] == path.grid[-1]
+        times, rhs = self.table(params, path, -1.0, 0.25, 4)
+        assert times[0] == path.grid[0]
+        assert times[-1] == path.grid[-1]
+        rhs(times[-1], np.zeros((2, 7)))
 
     def test_a_call_off_its_stage_times_is_refused(self, params):
         path = ou_path(1, -1.0, 0.0, 0.01)
-        table = self.table(params, path, -1.0, 0.01, 100)
+        times, rhs = self.table(params, path, -1.0, 0.01, 100)
         U = np.zeros((2, 7))
-        table(-1.0, U)
-        table(-0.995, U)
-        with pytest.raises(ValueError, match="not in the noise table"):
-            table(-0.98, U)
+        rhs(-1.0, U)
+        rhs(-0.995, U)
+        for t in (-0.9925, -1.005, 0.005):
+            with pytest.raises(ValueError, match="not in the noise table"):
+                rhs(t, U)
 
-    def test_rows_span_blocks(self, params):
-        # more steps than one block: the rows past the first block are the
-        # fields at their own stage times, and rows chosen again part way
-        # take effect from the current stage time
+    def test_rows_are_their_random_field_at_every_stage_time(self, params):
+        # called in any order, each row is the field at its own sigma and
+        # at z of the stage time
         path = ou_path(2, -4.0, 0.0, 0.01)
-        n_steps = 2 * stochastic.TABLE_BLOCK_STEPS + 7
-        table = self.table(params, path, -4.0, 4.0 / n_steps, n_steps)
+        times, rhs = self.table(params, path, -4.0, 4.0 / 39, 39)
         U = sample_ball(1.0, "truncated", 3, 2, seed=1).points
         f = forcing_grid(params, 3, "truncated")
-        for j, t in enumerate(table.times.tolist()):
-            if j == stochastic.TABLE_BLOCK_STEPS + 1:
-                table.select([1, 0], [0, 0])
-            got = table(t, U)
-            sigmas = (0.1, 0.0) if j <= stochastic.TABLE_BLOCK_STEPS \
-                else (0.0, 0.1)
-            for r, sigma in enumerate(sigmas):
+        for t in times[::-1].tolist():
+            got = rhs(t, U)
+            for r, sigma in enumerate((0.1, 0.0)):
                 one = _grid.random_field(params, sigma, path.at(t), U[r], f,
                                          "truncated")
                 assert got[r].tobytes() == one.tobytes()
