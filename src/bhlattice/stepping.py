@@ -4,6 +4,9 @@ fourth-order reference integrator used as the continuous-time oracle."""
 from __future__ import annotations
 
 import dataclasses
+import importlib.machinery
+import importlib.util
+import sys
 import warnings
 
 import numpy as np
@@ -27,6 +30,8 @@ TRAJ_BLOCK = 256
 # fixed-point tolerance of the implicit steps whose error ``defect``
 # measures, far below the smallest defect the error-order study resolves
 DEFECT_FP_TOL = 1e-12
+# scipy's LAPACK wrappers, loaded by ``_flapack`` without scipy.linalg
+_FLAPACK = "scipy.linalg._flapack"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -225,6 +230,30 @@ def global_error(p: Params, eps: float, y: LatticeWindow, T: float,
     return defect(p, eps, Y, n, U_exact)
 
 
+def _flapack():
+    """scipy's LAPACK extension module, ``scipy.linalg._flapack``, whose
+    f2py wrappers ``scipy.linalg.lapack`` re-exports.
+
+    Loaded on first use and on its own: importing ``scipy.linalg`` to reach
+    it would run the package's ``__init__``, about 300 more modules and 20
+    MB.  The module is registered under its own name, so a later ``import
+    scipy.linalg`` reuses it, and ``scipy.linalg.lapack.dgtsv`` is this
+    module's ``dgtsv``: one copy, the same function objects."""
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    # imports the top-level scipy package only, not scipy.linalg
+    package = importlib.util.find_spec("scipy.linalg")
+    spec = package and importlib.machinery.PathFinder.find_spec(
+        _FLAPACK, package.submodule_search_locations)
+    if spec is None:
+        raise ImportError(f"cannot find {_FLAPACK}", name=_FLAPACK)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_FLAPACK] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def equilibrium(p: Params, half_width: int, mode: str = "window"):
     """Zero u* of the field of the system ``mode`` on the sites |i| <=
     half_width, by Newton from u = 0 on the field's tridiagonal Jacobian.
@@ -233,9 +262,6 @@ def equilibrium(p: Params, half_width: int, mode: str = "window"):
     EQUILIBRIUM_TOL; raises NoConvergence after EQUILIBRIUM_MAX_ITER
     iterations, NonFinite if an iterate overflows and
     np.linalg.LinAlgError if a Jacobian is singular."""
-    # imported on first use: loading scipy.linalg costs about 0.3 s
-    from scipy.linalg.lapack import dgtsv
-
     coef = _grid.field_coefficients(p, 1.0, 0.0,
                                     forcing_grid(p, half_width, mode))
     u = np.zeros(2 * half_width + 1)
@@ -253,7 +279,8 @@ def equilibrium(p: Params, half_width: int, mode: str = "window"):
         # scipy.linalg.solve_banded((1, 1), ...) calls, without the
         # wrapper's checks, which cost several times the solve itself
         bands = _grid.field_jacobian(p, u, mode)
-        _, _, _, step, info = dgtsv(bands[2, :-1], bands[1], bands[0, 1:], F)
+        _, _, _, step, info = _flapack().dgtsv(bands[2, :-1], bands[1],
+                                               bands[0, 1:], F)
         if info:
             raise np.linalg.LinAlgError(f"dgtsv failed with info={info}")
         u = u - step
@@ -270,16 +297,13 @@ def point_contraction(p: Params, u: np.ndarray, mode: str = "window") -> float:
     (Young's inequality), and c|w_i|^3 - beta w_i^4 <= (c^2/(4 beta)) w_i^2.
     So kappa < 0 makes u* the one attractor of the flow and of implicit
     Euler at every step."""
-    # imported on first use: loading scipy.linalg costs about 0.3 s
-    from scipy.linalg.lapack import dstebz
-
     bands = _grid.field_jacobian(p, u, mode)
     n = u.size
     # LAPACK's bisection for the n-th of n eigenvalues (range 2, il = iu =
     # n), the routine that scipy.linalg.eigvalsh_tridiagonal(select="i")
     # calls, without the wrapper's argument checks, which cost more than the
     # bisection itself on the truncated systems
-    _, top, _, _, info = dstebz(
+    _, top, _, _, info = _flapack().dstebz(
         bands[1], 0.5 * (bands[0, 1:] + bands[2, :-1]), 2, 0.0, 0.0, n, n,
         0.0, "E")
     if info:
