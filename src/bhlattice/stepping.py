@@ -115,8 +115,7 @@ def implicit_steps(p: Params, cfg: StepConfig, Y: np.ndarray, n_steps: int,
     F = None
     for _ in range(n_steps):
         Y, resid, iters, F = _grid.picard_solve(
-            lambda U: _grid.field(coef, U, mode), Y, cfg.eps,
-            cfg.fp_tol, PICARD_MAX_ITER, F)
+            coef, Y, cfg.eps, cfg.fp_tol, PICARD_MAX_ITER, mode, F)
         yield Y, StepInfo(resid, iters)
 
 
@@ -189,7 +188,7 @@ def reference_flows(p: Params, Y: np.ndarray, dt: float, n_steps: int,
     coef = _grid.field_coefficients(
         p, 1.0, 0.0, forcing_grid(p, (Y.shape[1] - 1) // 2, mode))
     return _grid.require_finite(_grid.rk4(
-        lambda _t, V: _grid.field(coef, V, mode), Y, 0.0, dt, n_steps))
+        lambda _t: coef, Y, 0.0, dt, n_steps, mode))
 
 
 def reference_flow(p: Params, u0: LatticeWindow, t: float, dt_ref: float,

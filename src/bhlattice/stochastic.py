@@ -170,24 +170,24 @@ def _stage_noise(paths, times: np.ndarray) -> np.ndarray:
                     axis=1)
 
 
-def _segment_field(p: Params, sigma, path, z, times, f_grid, mode):
+def _segment_field(p: Params, sigma, path, z, times, f_grid):
     """The random field of each row of a pullback stack over one segment,
-    as a right-hand side f(t, U) for ``_grid.rk4``: row r has noise
-    intensity sigma[r] along path path[r], and z[:, k] is path k at the
-    segment's stage times ``times``.  The coefficients of every row at
+    as the coefficient lookup t -> coefficients for ``_grid.rk4``: row r has
+    noise intensity sigma[r] along path path[r], and z[:, k] is path k at
+    the segment's stage times ``times``.  The coefficients of every row at
     every stage time are built here, once, from sigma*z and exp(sigma*z)
-    with a length-1 state axis; a call at any other time is refused."""
+    with a length-1 state axis; a lookup at any other time is refused."""
     sz = (sigma * z[:, path])[..., None]
     nu, *coef = _grid.field_coefficients(p, np.exp(sz), sz, f_grid)
     table = dict(zip(times.tolist(), [(nu, *c) for c in zip(*coef)]))
 
-    def rhs(t: float, U: np.ndarray) -> np.ndarray:
+    def coef_at(t: float) -> tuple:
         c = table.get(t)
         if c is None:
             raise ValueError(f"stage time {t!r} is not in the noise table")
-        return _grid.field(c, U, mode)
+        return c
 
-    return rhs
+    return coef_at
 
 
 def _distinct(sigma, path, U: np.ndarray):
@@ -275,9 +275,9 @@ def pullback_batch(p: Params, noise: NoiseConfig, sigmas, realizations,
         steps = min(SEGMENT_STEPS, n_steps - start)
         seg = slice(2 * start, 2 * (start + steps) + 1)
         # the old table goes first, so that two are never held at once
-        rhs = None
-        rhs = _segment_field(p, sig, path, z[seg], times[seg], f_grid, mode)
-        U = _grid.rk4(rhs, U, times[2 * start], dt, steps)
+        coef_at = None
+        coef_at = _segment_field(p, sig, path, z[seg], times[seg], f_grid)
+        U = _grid.rk4(coef_at, U, times[2 * start], dt, steps, mode)
         if start + steps < n_steps:
             keep, group = _distinct(sig, path, U)
             U, sig, path, of = U[keep], sig[keep], path[keep], group[of]

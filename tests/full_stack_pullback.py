@@ -24,12 +24,12 @@ def full_stack_pullback(p, noise, sigmas, realizations, dt, init,
     f = forcing_grid(p, init.half_width, init.space)
     sig = np.asarray(sigmas, dtype=float)[:, None]
 
-    def F(t, U):
+    def coef_at(t):
         z = np.array([np.interp(t, path.grid, path.z) for path in paths])
         sz = (sig * z)[..., None, None]
-        coef = _grid.field_coefficients(p, np.exp(sz), sz, f)
-        return _grid.field(coef, U, init.space)
+        return _grid.field_coefficients(p, np.exp(sz), sz, f)
 
     U0 = np.broadcast_to(init.points,
                          (len(sigmas), len(paths)) + init.points.shape)
-    return _grid.rk4(F, U0.copy(), -noise.pullback_T, dt, n_steps)
+    return _grid.rk4(coef_at, U0.copy(), -noise.pullback_T, dt, n_steps,
+                     init.space)

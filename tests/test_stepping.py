@@ -443,9 +443,8 @@ class TestReferenceFlows:
         assert got.shape == Y.shape
         coef = _grid.field_coefficients(FORCED, 1.0, 0.0, FORCED.f.to_grid(K))
         for r, row in enumerate(Y):
-            alone = _grid.rk4(
-                lambda _t, U: _grid.field(coef, U, "window"),
-                row, 0.0, dt, n_steps)
+            alone = _grid.rk4(lambda _t: coef, row, 0.0, dt, n_steps,
+                              "window")
             assert got[r].tobytes() == alone.tobytes()
 
     def test_one_overflowing_row_raises_nonfinite(self):

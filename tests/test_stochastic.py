@@ -515,10 +515,10 @@ class TestNoiseTable:
         # row 0 at sigma = 0.1, row 1 at sigma = 0, both along the path
         times = _grid.stage_times(t0, dt, n_steps)
         f = forcing_grid(params, 3, "truncated")
-        rhs = _segment_field(params, np.array([0.1, 0.0]), np.array([0, 0]),
-                             _stage_noise((path,), times), times, f,
-                             "truncated")
-        return times, rhs
+        coef_at = _segment_field(params, np.array([0.1, 0.0]),
+                                 np.array([0, 0]),
+                                 _stage_noise((path,), times), times, f)
+        return times, lambda t, U: _grid.field(coef_at(t), U, "truncated")
 
     @pytest.mark.parametrize("t_min, t_max", [(-5.0, -3.0), (-1.5, 0.0)])
     def test_stage_times_off_the_path_are_refused(self, params, t_min, t_max):
